@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .compose import (
     Couple,
     compose_displacements,
@@ -511,6 +509,8 @@ def check_fourth_point_prediction(rng, n, k):
 
 def check_fit_vs_least_squares(rng, n, k):
     """fit_displacement agrees with an unconstrained least-squares rotation fit."""
+    import numpy as np
+
     for i in range(n):
         D = _rand_displacement(rng)
         pts = _rand_triangle(rng)

@@ -447,7 +447,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, root: bool) -> None:
         "--tol",
         type=float,
         default=1e-9 if root else suppress,
-        help="comparison tolerance (default 1e-9)",
+        help="comparison tolerance for check (default 1e-9); other subcommands ignore it",
     )
     parser.add_argument(
         "--radians",

@@ -98,6 +98,18 @@ def make_unit(v: Vec3) -> UnitVec3:
     return UnitVec3(v.x / n, v.y / n, v.z / n)
 
 
+def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of make_unit(Vec3(x, y, z)), without building either.
+
+    Raises where that expression raises: ZeroVector at length <= 1e-12,
+    ValueError for a non-finite component or a length that overflows.
+    """
+    n = math.sqrt(x * x + y * y + z * z)
+    if not ZERO_DIRECTION_TOL < n < math.inf:
+        return make_unit(Vec3(x, y, z)).as_tuple()
+    return x / n, y / n, z / n
+
+
 @dataclass(frozen=True, slots=True)
 class AxisLine:
     """An oriented line in space: a point on it and a unit direction."""

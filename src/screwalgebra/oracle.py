@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import AxisLine, UnitVec3, Vec3, make_unit
 from .errors import TraceSingular
 from .rotation import Displacement, GibbsVector, RotationMatrix
@@ -117,6 +115,8 @@ def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
     perpendicular from the origin; the slide is d.axis. Identity and pure
     translations are returned as their own variants.
     """
+    import numpy as np
+
     R = np.array(H.R.rows)
     d = np.array(H.d.as_tuple())
     tr = float(np.trace(R))

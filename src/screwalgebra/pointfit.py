@@ -8,12 +8,11 @@ and no proper motion produces it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
-from .core import Vec3, make_unit
+from .core import Vec3, _unit_components
 from .errors import CollinearPoints, CoplanarPoints, NonRigidData, TooFewPoints
 from .rotation import Displacement, GibbsVector, RotationMatrix, gibbs_from_matrix
 
@@ -38,32 +37,65 @@ class RigidityReport(NamedTuple):
     proper: bool
 
 
-def _pairwise_scale(points: Sequence[Vec3]) -> float:
-    best = 0.0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            best = max(best, (points[i] - points[j]).norm())
-    return best
+def _pair_distances(points: Sequence[Vec3]) -> list[float]:
+    """|p_i - p_j| for every pair i < j, in row order."""
+    out = []
+    for i, p in enumerate(points):
+        px, py, pz = p.x, p.y, p.z
+        for r in points[i + 1 :]:
+            dx, dy, dz = px - r.x, py - r.y, pz - r.z
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if not d < math.inf:
+                p - r  # an overflowed difference raises, as Vec3 arithmetic does
+            out.append(d)
+    return out
 
 
-def _check_distances(corrs: Sequence[Correspondence], scale: float) -> bool:
-    for i in range(len(corrs)):
-        for j in range(i + 1, len(corrs)):
-            d0 = (corrs[i].before - corrs[j].before).norm()
-            d1 = (corrs[i].after - corrs[j].after).norm()
-            if abs(d1 - d0) > RIGIDITY_REL_TOL * max(d0, scale):
-                return False
-    return True
+def _distance_change(
+    corrs: Sequence[Correspondence], before: Sequence[float], limit: float
+) -> float | None:
+    """Largest change of a pairwise distance between the two poses.
+
+    ``before`` holds the before-distances in _pair_distances order. Returns
+    None as soon as one pair changes by more than ``limit``; the pairs after
+    it are not evaluated.
+    """
+    worst = 0.0
+    k = 0
+    for i, c in enumerate(corrs):
+        a = c.after
+        ax, ay, az = a.x, a.y, a.z
+        for other in corrs[i + 1 :]:
+            b = other.after
+            dx, dy, dz = ax - b.x, ay - b.y, az - b.z
+            d1 = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if not d1 < math.inf:
+                a - b  # an overflowed difference raises, as Vec3 arithmetic does
+            change = abs(d1 - before[k])
+            k += 1
+            if change > limit:
+                return None
+            if change > worst:
+                worst = change
+    return worst
 
 
-def _frame(p0: Vec3, p1: Vec3, p2: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-    """Right-handed orthonormal frame built on a triangle by Gram-Schmidt."""
-    e1 = make_unit(p1 - p0)
-    raw = p2 - p0
-    e2 = make_unit(raw - e1 * e1.dot(raw))
-    e2 = make_unit(e2 - e1 * e1.dot(e2))
-    e3 = e1.cross(e2)
-    return e1, e2, e3
+def _frame(p0: Vec3, p1: Vec3, p2: Vec3) -> tuple[float, ...]:
+    """Right-handed orthonormal frame built on a triangle by Gram-Schmidt.
+
+    Returns the axes e1, e2, e3 as nine floats.
+    """
+    x1, y1, z1 = _unit_components(p1.x - p0.x, p1.y - p0.y, p1.z - p0.z)
+    rx, ry, rz = p2.x - p0.x, p2.y - p0.y, p2.z - p0.z
+    s = x1 * rx + y1 * ry + z1 * rz
+    x2, y2, z2 = _unit_components(rx - x1 * s, ry - y1 * s, rz - z1 * s)
+    s = x1 * x2 + y1 * y2 + z1 * z2
+    x2, y2, z2 = _unit_components(x2 - x1 * s, y2 - y1 * s, z2 - z1 * s)
+    return (
+        x1, y1, z1,
+        x2, y2, z2,
+        y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2,
+    )
 
 
 def fit_displacement(
@@ -82,50 +114,60 @@ def fit_displacement(
     cannot be satisfied.
     """
     corrs = (c0, c1, c2)
-    before = [c.before for c in corrs]
-    after = [c.after for c in corrs]
-    scale = _pairwise_scale(before)
+    b0, b1, b2 = c0.before, c1.before, c2.before
+    dist = _pair_distances((b0, b1, b2))
+    scale = max(dist)
     if scale <= 0.0:
         raise CollinearPoints("the three base points coincide")
-    area2 = (before[1] - before[0]).cross(before[2] - before[0]).norm()
+    ux, uy, uz = b1.x - b0.x, b1.y - b0.y, b1.z - b0.z
+    vx, vy, vz = b2.x - b0.x, b2.y - b0.y, b2.z - b0.z
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    area2 = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if not area2 < math.inf:
+        Vec3(nx, ny, nz)  # an overflowed cross product raises, as in Vec3.cross
     if area2 <= COLLINEAR_REL_TOL * scale * scale:
         raise CollinearPoints("base points are collinear; no frame exists")
-    if not _check_distances(corrs, scale):
+    # scale is the largest before-distance, so each pair's tolerance
+    # RIGIDITY_REL_TOL * max(distance, scale) is RIGIDITY_REL_TOL * scale.
+    change = _distance_change(corrs, dist, RIGIDITY_REL_TOL * scale)
+    if change is None:
         raise NonRigidData("pairwise distances are not preserved")
 
-    e = _frame(*before)
-    f = _frame(*after)
-    rows = tuple(
-        tuple(
-            f[0].as_tuple()[i] * e[0].as_tuple()[j]
-            + f[1].as_tuple()[i] * e[1].as_tuple()[j]
-            + f[2].as_tuple()[i] * e[2].as_tuple()[j]
-            for j in range(3)
-        )
-        for i in range(3)
+    e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = _frame(b0, b1, b2)
+    f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z = _frame(c0.after, c1.after, c2.after)
+    # M = f1 e1^T + f2 e2^T + f3 e3^T carries the before frame onto the after frame.
+    rows = (
+        (
+            f1x * e1x + f2x * e2x + f3x * e3x,
+            f1x * e1y + f2x * e2y + f3x * e3y,
+            f1x * e1z + f2x * e2z + f3x * e3z,
+        ),
+        (
+            f1y * e1x + f2y * e2x + f3y * e3x,
+            f1y * e1y + f2y * e2y + f3y * e3y,
+            f1y * e1z + f2y * e2z + f3y * e3z,
+        ),
+        (
+            f1z * e1x + f2z * e2x + f3z * e3x,
+            f1z * e1y + f2z * e2y + f3z * e3y,
+            f1z * e1z + f2z * e2z + f3z * e3z,
+        ),
     )
     M = RotationMatrix(rows)
     q = gibbs_from_matrix(M)
-    delta = after[0] - M.apply(before[0])
-    fitted = Displacement(q, delta)
-
-    defect = _max_distance_defect(corrs, scale)
-    _verify_chord_equations(fitted, corrs, scale, defect)
-    return fitted
-
-
-def _max_distance_defect(corrs: Sequence[Correspondence], scale: float) -> float:
-    worst = 0.0
-    for i in range(len(corrs)):
-        for j in range(i + 1, len(corrs)):
-            d0 = (corrs[i].before - corrs[j].before).norm()
-            d1 = (corrs[i].after - corrs[j].after).norm()
-            worst = max(worst, abs(d1 - d0) / max(d0, scale))
-    return worst
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    a0 = c0.after
+    delta = Vec3(
+        a0.x - (r00 * b0.x + r01 * b0.y + r02 * b0.z),
+        a0.y - (r10 * b0.x + r11 * b0.y + r12 * b0.z),
+        a0.z - (r20 * b0.x + r21 * b0.y + r22 * b0.z),
+    )
+    _verify_chord_equations(q, corrs, scale, change / scale)
+    return Displacement(q, delta)
 
 
 def _verify_chord_equations(
-    fitted: Displacement,
+    q: GibbsVector,
     corrs: Sequence[Correspondence],
     scale: float,
     defect: float,
@@ -138,17 +180,29 @@ def _verify_chord_equations(
     defect; a larger residual means the correspondence is not explainable
     by one proper motion.
     """
-    q = fitted.q.as_vec3()
-    chord0 = corrs[0].after - corrs[0].before
-    mid0 = (corrs[0].after + corrs[0].before) * 0.5
-    bound = max(PATH_AGREEMENT_TOL * max(1.0, q.norm()), 4.0 * defect) * scale
+    qx, qy, qz = q.m, q.n, q.p
+    a, b = corrs[0].after, corrs[0].before
+    cx, cy, cz = a.x - b.x, a.y - b.y, a.z - b.z
+    mx, my, mz = (a.x + b.x) * 0.5, (a.y + b.y) * 0.5, (a.z + b.z) * 0.5
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    bound = max(PATH_AGREEMENT_TOL * max(1.0, qn), 4.0 * defect) * scale
     for c in corrs[1:]:
-        chord = c.after - c.before
-        mid = (c.after + c.before) * 0.5
-        resid = (chord - chord0) - q.cross(mid - mid0)
-        if resid.norm() > bound:
+        a, b = c.after, c.before
+        dx, dy, dz = (a.x - b.x) - cx, (a.y - b.y) - cy, (a.z - b.z) - cz
+        wx = (a.x + b.x) * 0.5 - mx
+        wy = (a.y + b.y) * 0.5 - my
+        wz = (a.z + b.z) * 0.5 - mz
+        rx = dx - (qy * wz - qz * wy)
+        ry = dy - (qz * wx - qx * wz)
+        rz = dz - (qx * wy - qy * wx)
+        resid = math.sqrt(rx * rx + ry * ry + rz * rz)
+        if not resid < math.inf:
+            # An overflowed chord or midpoint sum raises Vec3's ValueError.
+            for p in (corrs[0], c):
+                p.after - p.before, p.after + p.before
+        if resid > bound:
             raise NonRigidData(
-                f"chord equations disagree with the frame fit by {resid.norm():.3e}"
+                f"chord equations disagree with the frame fit by {resid:.3e}"
             )
 
 
@@ -162,6 +216,8 @@ def gibbs_by_midpoint_elimination(
     solving delta - (1/2) q x delta = chord - q x mid for delta. Used as an
     independent cross-check of fit_displacement.
     """
+    import numpy as np
+
     corrs = (c0, c1, c2)
     chord0 = corrs[0].after - corrs[0].before
     mid0 = (corrs[0].after + corrs[0].before) * 0.5
@@ -197,6 +253,20 @@ def gibbs_by_midpoint_elimination(
     )
 
 
+def _signed_volume(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3) -> float:
+    """(p1 - p0) x (p2 - p0) . (p3 - p0): six times the tetrahedron's volume."""
+    ax, ay, az = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
+    bx, by, bz = p2.x - p0.x, p2.y - p0.y, p2.z - p0.z
+    cx, cy, cz = p3.x - p0.x, p3.y - p0.y, p3.z - p0.z
+    vol = (ay * bz - az * by) * cx + (az * bx - ax * bz) * cy + (ax * by - ay * bx) * cz
+    if not abs(vol) < math.inf:
+        # Overflow: Vec3 arithmetic raises where a difference or the cross
+        # product is non-finite, and otherwise gives the same infinite value.
+        a, b, c = p1 - p0, p2 - p0, p3 - p0
+        return a.cross(b).dot(c)
+    return vol
+
+
 def check_rigidity(corrs: Sequence[Correspondence]) -> RigidityReport:
     """Distance-preservation and orientation check for four or more points.
 
@@ -212,20 +282,17 @@ def check_rigidity(corrs: Sequence[Correspondence]) -> RigidityReport:
     if len(corrs) < 4:
         raise TooFewPoints(f"need at least 4 correspondences, got {len(corrs)}")
     before = [c.before for c in corrs]
-    scale = _pairwise_scale(before)
-    rigid = scale > 0.0 and _check_distances(corrs, scale)
-
-    def volume(points: Sequence[Vec3]) -> float:
-        a = points[1] - points[0]
-        b = points[2] - points[0]
-        c = points[3] - points[0]
-        return a.cross(b).dot(c)
-
-    vol_before = volume(before[:4])
+    dist = _pair_distances(before)
+    scale = max(dist)
+    rigid = (
+        scale > 0.0
+        and _distance_change(corrs, dist, RIGIDITY_REL_TOL * scale) is not None
+    )
+    vol_before = _signed_volume(*before[:4])
     if abs(vol_before) <= COPLANAR_REL_TOL * scale**3:
         raise CoplanarPoints(
             "first four points are coplanar; orientation is undecidable",
             rigid=rigid,
         )
-    vol_after = volume([c.after for c in corrs[:4]])
+    vol_after = _signed_volume(*(c.after for c in corrs[:4]))
     return RigidityReport(rigid=rigid, proper=vol_before * vol_after > 0.0)

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import (
     HALF_TURN_TIE_TOL,
     ZERO_DIRECTION_TOL,
@@ -26,6 +24,7 @@ from .core import (
     angle_between,
     canonicalize_rotation,
     distance_between_lines,
+    _unit_components,
     make_unit,
 )
 from .compose import (
@@ -103,7 +102,12 @@ class Screw:
                     if c < 0.0:
                         direction, slide = -direction, -slide
                     break
-        foot = point - direction * point.dot(direction)
+        s = point.dot(direction)
+        foot = Vec3(
+            point.x - direction.x * s,
+            point.y - direction.y * s,
+            point.z - direction.z * s,
+        )
         return Screw(
             ScrewKind.GENERAL,
             axis=AxisLine(foot, direction),
@@ -148,13 +152,17 @@ def screw_from_displacement(D: Displacement) -> Screw:
         if D.delta.norm() == 0.0:
             return Screw.identity()
         return Screw.pure_translation(D.delta)
-    qv = D.q.as_vec3()
-    q2 = qv.dot(qv)
-    direction = make_unit(qv)
+    qx, qy, qz = D.q.m, D.q.n, D.q.p
+    ux, uy, uz = _unit_components(qx, qy, qz)
+    q2 = qx * qx + qy * qy + qz * qz
     theta = 2.0 * math.atan(math.sqrt(q2) / 2.0)
-    slide = D.delta.dot(direction)
-    r0 = D.delta * 0.5 - D.delta.cross(qv) / q2
-    return Screw.general(r0, direction, theta, slide)
+    d = D.delta
+    slide = d.x * ux + d.y * uy + d.z * uz
+    # r0 = delta / 2 - (delta x q) / q^2
+    rx = d.x * 0.5 - (d.y * qz - d.z * qy) / q2
+    ry = d.y * 0.5 - (d.z * qx - d.x * qz) / q2
+    rz = d.z * 0.5 - (d.x * qy - d.y * qx) / q2
+    return Screw.general(Vec3(rx, ry, rz), UnitVec3(ux, uy, uz), theta, slide)
 
 
 def displacement_from_screw(S: Screw) -> Displacement:
@@ -350,10 +358,12 @@ def levy_central_axis(
     mid_b = (B + Bp) * 0.5
 
     if make_unit(n_a).cross(make_unit(n_b)).norm() > PLANE_COLLINEAR_TOL:
-        mat = np.array([n_a.as_tuple(), n_b.as_tuple(), dir.as_tuple()])
-        rhs = np.array([n_a.dot(mid_a), n_b.dot(mid_b), 0.0])
-        sol = np.linalg.solve(mat, rhs)
-        return AxisLine(Vec3(float(sol[0]), float(sol[1]), float(sol[2])), dir)
+        # Cramer's rule on the rows n_a, n_b, dir with right side
+        # (n_a . mid_a, n_b . mid_b, 0): the solution is
+        # (h_a (n_b x dir) + h_b (dir x n_a)) / (n_a . (n_b x dir)).
+        nb_dir = n_b.cross(dir)
+        point = (nb_dir * n_a.dot(mid_a) + dir.cross(n_a) * n_b.dot(mid_b)) / n_a.dot(nb_dir)
+        return AxisLine(point, dir)
 
     if abs(make_unit(n_a).dot(mid_b - mid_a)) > PLANE_COLLINEAR_TOL * scale:
         raise ParallelPlanes("the two construction planes are parallel and distinct")

@@ -14,14 +14,18 @@ from screwalgebra import (
     Displacement,
     GibbsVector,
     NonRigidData,
+    RigidityReport,
     TooFewPoints,
+    TraceSingular,
     Vec3,
+    ZeroVector,
     apply_displacement,
     check_rigidity,
     fit_displacement,
     gibbs_by_midpoint_elimination,
     make_unit,
     rodrigues_rotate,
+    screw_from_displacement,
 )
 from _util import mnp, xyz
 
@@ -162,3 +166,252 @@ class TestCheckRigidity:
         flat = self.TET[:3] + [Correspondence(Vec3(1, 1, 0), Vec3(1, 1, 0))]
         with pytest.raises(CoplanarPoints):
             check_rigidity(flat)
+
+
+# ---------------------------------------------------------------------------
+# Edge inputs: which exception each kernel raises.
+#
+# Each case lists four tracked points; fit_displacement sees the first three
+# and check_rigidity all of them. The expected outcome is an exception type,
+# or the type of the value returned. Overflowing and underflowing coordinates
+# are where a kernel on bare floats can drift from one on Vec3, whose
+# constructor rejects a non-finite component.
+
+
+def _corrs(pairs):
+    return [Correspondence(Vec3(*b), Vec3(*a)) for b, a in pairs]
+
+
+def _same(points):
+    return _corrs([(p, p) for p in points])
+
+
+def _half_turn_z(points):
+    return _corrs([(p, (-p[0], -p[1], p[2])) for p in points])
+
+
+BIG, TINY = 1e200, 1e-200
+TET = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+# name -> (points, what fit_displacement does, what check_rigidity does)
+CASES = {
+    "huge": (
+        _same([(BIG, -BIG, BIG), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -BIG, -BIG)]),
+        ValueError,
+        ValueError,
+    ),
+    "huge-mirrored": (
+        _corrs(
+            [
+                ((BIG, -BIG, BIG), (BIG, -BIG, -BIG)),
+                ((-BIG, BIG, BIG), (-BIG, BIG, -BIG)),
+                ((BIG, BIG, -BIG), (BIG, BIG, BIG)),
+                ((-BIG, -BIG, -BIG), (-BIG, -BIG, BIG)),
+            ]
+        ),
+        ValueError,
+        ValueError,
+    ),
+    "tiny": (
+        _same(
+            [(TINY, -TINY, TINY), (-TINY, TINY, TINY), (TINY, TINY, -TINY), (-TINY, -TINY, -TINY)]
+        ),
+        CollinearPoints,
+        CoplanarPoints,
+    ),
+    "coincident": (_same([(1.0, 2.0, 3.0)] * 4), CollinearPoints, CoplanarPoints),
+    "collinear": (
+        _same([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)]),
+        CollinearPoints,
+        CoplanarPoints,
+    ),
+    "coplanar": (
+        _same([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0)]),
+        Displacement,
+        CoplanarPoints,
+    ),
+    # A base edge of 1e-13 passes the collinearity test on a 1e-6 triangle
+    # but is too short for the frame's first axis.
+    "short-edge": (
+        _same([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (0.0, 1e-6, 0.0), (0.0, 0.0, 1e-6)]),
+        ZeroVector,
+        RigidityReport,
+    ),
+    "half-turn": (_half_turn_z(TET), TraceSingular, RigidityReport),
+    # Only the difference of two base points overflows.
+    "overflowing-before": (
+        _corrs(zip([TET[0], (1e308, 0.0, 0.0), (-1e308, 1.0, 0.0), TET[3]], TET)),
+        ValueError,
+        ValueError,
+    ),
+    # The first after-difference overflows; the before-distances are finite
+    # for the fit and infinite (so no distance test can fail) for the rigidity check.
+    "overflowing-after": (
+        _corrs(
+            [
+                ((0.0, 0.0, 0.0), (1e308, 0.0, 0.0)),
+                ((1.0, 0.0, 0.0), (-1e308, 0.0, 0.0)),
+                ((0.0, 1.0, 0.0), (0.0, 1.0, 0.0)),
+                ((0.0, 0.0, BIG), (0.0, 0.0, 1e308)),
+                ((0.0, 0.0, -BIG), (0.0, 0.0, -1e308)),
+            ]
+        ),
+        ValueError,
+        ValueError,
+    ),
+}
+
+
+def _outcome(call):
+    try:
+        return type(call())
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fit_displacement_outcome(name):
+    corrs, expected, _ = CASES[name]
+    assert _outcome(lambda: fit_displacement(*corrs[:3])) is expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_check_rigidity_outcome(name):
+    corrs, _, expected = CASES[name]
+    assert _outcome(lambda: check_rigidity(corrs)) is expected
+
+
+def test_overflow_reports_the_non_finite_component():
+    corrs = CASES["huge"][0]
+    with pytest.raises(ValueError, match="non-finite component"):
+        fit_displacement(*corrs[:3])
+    with pytest.raises(ValueError, match="non-finite component"):
+        check_rigidity(corrs)
+
+
+@pytest.mark.parametrize(
+    "name, rigid",
+    [("tiny", False), ("coincident", False), ("collinear", True), ("coplanar", True)],
+)
+def test_coplanar_carries_the_rigid_verdict(name, rigid):
+    with pytest.raises(CoplanarPoints) as info:
+        check_rigidity(CASES[name][0])
+    assert info.value.rigid is rigid
+
+
+def test_rigidity_verdicts_of_the_regular_cases():
+    assert check_rigidity(CASES["short-edge"][0]) == RigidityReport(rigid=True, proper=True)
+    assert check_rigidity(CASES["half-turn"][0]) == RigidityReport(rigid=True, proper=True)
+
+
+def test_half_turn_message():
+    with pytest.raises(TraceSingular, match=r"1 \+ trace = .*half turn"):
+        fit_displacement(*CASES["half-turn"][0][:3])
+
+
+def test_overflowing_midpoint_sum_raises():
+    # Rigid (identity) data near the top of the float range: the frames, the
+    # rotation and delta are finite, but a chord-check midpoint sum is not.
+    corrs = _same([(1e308, 0.0, 0.0), (1e308, 1e150, 0.0), (1e308, 0.0, 1e150)])
+    with pytest.raises(ValueError, match="non-finite component"):
+        fit_displacement(*corrs)
+
+
+# ---------------------------------------------------------------------------
+# Pinned results: fit_displacement and screw_from_displacement on fixed
+# inputs, compared with == to the values the Vec3-based implementation
+# (before the kernels were written on bare floats) returned. Any change in
+# the order or grouping of the float operations shows up here.
+
+# name -> (before/after pairs, q, delta, (axis point, axis direction, theta, slide))
+PINNED = {
+    "generic": (
+        [
+            ((0.0, 0.0, 0.0), (0.5, -0.25, 2.0)),
+            ((1.0, 0.0, 0.0), (0.992624969895179, 0.5426132544937405, 1.64071617370578)),
+            ((0.0, 1.0, 0.0), (-0.13649786061533398, 0.3597115153039838, 2.472358276669122)),
+        ],
+        (0.327718521452738, 0.655437042905476, 0.9831555643582139),
+        (0.5, -0.25, 2.0),
+        (
+            (1.0710104074644398, -0.6625499677030238, 0.08469650931386918),
+            (0.2672612419124244, 0.5345224838248488, 0.8017837257372732),
+            1.1,
+            1.6035674514745464,
+        ),
+    ),
+    "offset-large": (
+        [
+            ((1000.0, -200.0, 50.0), (678.233003025149, 178.43232762659136, -709.500157762998)),
+            ((1250.0, -180.0, 75.0), (804.3919996312454, 188.95031428497197, -927.4411578799956)),
+            ((990.0, 30.0, -40.0), (566.8316114680259, -29.505937212317114, -783.3338084577898)),
+        ],
+        (-3.900857679169198, 0.9752144197922992, 1.950428839584599),
+        (-29.999999999999773, 12.5, 6.999999999999886),
+        (
+            (-1.9265466349750824, 1.1993668288274026, -4.452776684363856),
+            (-0.8728715609439694, 0.21821789023599228, 0.4364357804719847),
+            2.3000000000000003,
+            31.968920919572632,
+        ),
+    ),
+    "small-angle": (
+        [
+            ((0.1, 0.2, 0.3), (0.1007999500333375, 0.20009989998334166, 0.298)),
+            ((1.3, -0.4, 0.2), (1.3013993499333874, -0.39869980021668333, 0.198)),
+            ((-0.5, 0.9, 1.1), (-0.49989974985002084, 0.8994995500833708, 1.098)),
+        ],
+        (-1.6653349532714385e-16, 6.938895638630993e-17, 0.001000000083333487),
+        (0.0010000000000000009, -8.326672684688674e-17, -0.0019999999999999463),
+        (
+            (0.0004999999999443228, 0.9999999166661879, -6.93056723122254e-14),
+            (-1.6653348144932812e-13, 6.938895060388671e-14, 1.0),
+            0.0010000000000001453,
+            -0.002000000000000113,
+        ),
+    ),
+    "near-half-turn": (
+        [
+            ((2.0, 1.0, 0.0), (-1.111443666611176, 2.1117784998888287, 0.4464443330000093)),
+            ((-1.0, 3.0, 0.5), (-2.3346663331111386, 4.332667333444388, -2.165332666888944)),
+            ((0.5, -2.0, 1.5), (2.388555083388928, 3.1102775001389125, -0.05655516650003278)),
+        ],
+        (2666.666444486078, -2666.666444486078, 1333.3332222433721),
+        (0.0, 4.0, 1.1102230246251565e-16),
+        (
+            (0.8885555555277337, 1.1111111111111605, 0.4451111111667427),
+            (0.6666666666666482, -0.6666666666666482, 0.33333333333340737),
+            3.1405926535898088,
+            -2.666666666666593,
+        ),
+    ),
+    # The third after-point is moved by 1e-8, so the rigidity defect enters
+    # the chord-equation bound.
+    "noisy": (
+        [
+            ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            ((3.0, 0.0, 0.0), (3.345320649400016, -0.6608919991033437, 0.13923939517866724)),
+            ((0.0, 4.0, 0.0), (3.3951238756366378, 4.179769559248296, 1.3904449893903095)),
+        ],
+        (0.19589484897799367, 0.2611931283236057, -0.6529828228894273),
+        (1.0, 1.0, 1.0),
+        (
+            (2.2512059119755072, -1.044691209772373, 0.25748529829346056),
+            (0.2683281600929751, 0.35777087512839445, -0.8944271906706446),
+            0.7000000005895844,
+            -0.268328155449275,
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_fit_and_screw(name):
+    pairs, q, delta, (point, direction, theta, slide) = PINNED[name]
+    D = fit_displacement(*_corrs(pairs))
+    assert (D.q.m, D.q.n, D.q.p) == q
+    assert D.delta.as_tuple() == delta
+    S = screw_from_displacement(D)
+    assert S.axis.point.as_tuple() == point
+    assert S.axis.dir.as_tuple() == direction
+    assert (S.theta, S.slide) == (theta, slide)

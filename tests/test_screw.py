@@ -243,3 +243,35 @@ class TestFixedAxisConstructions:
         )
         assert xyz(line.point) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
         assert xyz(line.dir) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+
+
+class TestLevyCramerRule:
+    """The 3x3 plane-intersection solve in levy_central_axis, against numpy."""
+
+    def test_matches_numpy_solve_on_skew_chord_pairs(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(61)
+        compared = 0
+        while compared < 200:
+            axis = make_unit(Vec3(*(rng.gauss(0, 1) for _ in range(3))))
+            theta = rng.uniform(0.2, 3.0)
+            point = Vec3(*(rng.uniform(-3, 3) for _ in range(3)))
+            screw = Screw.general(point, axis, theta, rng.uniform(-2, 2))
+            d = displacement_from_screw(screw)
+            a, b = (Vec3(*(rng.uniform(-3, 3) for _ in range(3))) for _ in range(2))
+            ap, bp = apply_displacement(d, a), apply_displacement(d, b)
+            n_a = (ap - a) - axis * (ap - a).dot(axis)
+            n_b = (bp - b) - axis * (bp - b).dot(axis)
+            # Well-separated planes only: the solve branch, away from its
+            # parallel-plane cutoff.
+            if make_unit(n_a).cross(make_unit(n_b)).norm() < 0.1:
+                continue
+            if screw.axis.point.norm() < 0.5:
+                continue
+            mat = np.array([n_a.as_tuple(), n_b.as_tuple(), axis.as_tuple()])
+            rhs = np.array([n_a.dot((a + ap) * 0.5), n_b.dot((b + bp) * 0.5), 0.0])
+            expected = np.linalg.solve(mat, rhs)
+            got = levy_central_axis(Correspondence(a, ap), Correspondence(b, bp), axis)
+            err = float(np.linalg.norm(np.array(xyz(got.point)) - expected))
+            assert err <= 1e-12 * float(np.linalg.norm(expected)), (compared, err)
+            compared += 1
