@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import ResultantHalfTurn, ScrewAlgebraError
 from .infinitesimal import (
+    _BASIS_TWISTS,
     PointForce,
     compose_twists,
     force_equilibrium,
@@ -584,16 +585,6 @@ def check_virtual_work_bilinear(rng, n, k):
     return True, ""
 
 
-_BASIS = [
-    Twist(Vec3(1, 0, 0), ZERO),
-    Twist(Vec3(0, 1, 0), ZERO),
-    Twist(Vec3(0, 0, 1), ZERO),
-    Twist(ZERO, Vec3(1, 0, 0)),
-    Twist(ZERO, Vec3(0, 1, 0)),
-    Twist(ZERO, Vec3(0, 0, 1)),
-]
-
-
 def _balance(forces: list[PointForce]) -> list[PointForce]:
     """Append forces that cancel the net force and net torque."""
     net = ZERO
@@ -620,7 +611,7 @@ def check_equilibrium_iff_basis(rng, n, k):
     for i in range(n):
         raw = [PointForce(_rand_vec(rng, 3.0), _rand_vec(rng, 3.0)) for _ in range(4)]
         forces = _balance(raw) if i % 2 == 0 else raw
-        via_basis = all(abs(virtual_work(forces, b)) <= tol for b in _BASIS)
+        via_basis = all(abs(virtual_work(forces, b)) <= tol for b in _BASIS_TWISTS)
         if force_equilibrium(forces, tol=tol) != via_basis:
             return False, f"system #{i}: equilibrium verdict disagrees with basis works"
         if i % 2 == 0 and not via_basis:

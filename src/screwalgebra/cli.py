@@ -7,8 +7,9 @@ suite). Output is line-oriented ``key=value`` with 12 significant digits so
 scripts can scrape it without a structured-format dependency.
 
 Exit codes: 0 ok, 1 check failure, 2 parse error, 3 half-turn overflow of
-the rational rotation vector (the screw is still printed from the matrix
-path), 4 degenerate decomposition, 5 non-rigid data, 6 collinear points.
+the rational rotation vector (compose and decompose still print the screw,
+from the Euler-Rodrigues fold), 4 degenerate decomposition, 5 non-rigid
+data, 6 collinear points.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from typing import Sequence, Union
 
 from .checks import run_all
 from .compose import compose_displacements
-from .core import Vec3, make_unit
+from .core import ZERO, Vec3, make_unit
 from .errors import (
     AngleAtPi,
     CollinearPoints,
     CoplanarPoints,
     DegenerateInput,
-    GibbsOverflow,
     NonRigidData,
     ParseError,
     ResultantHalfTurn,
@@ -41,14 +41,13 @@ from .oracle import (
     hom_compose,
     hom_from_rotation,
     hom_from_translation,
-    screw_from_hom_bruteforce,
 )
 from .pointfit import Correspondence, check_rigidity, fit_displacement
 from .rotation import (
     Displacement,
     GIBBS_ZERO,
-    GibbsVector,
     displacement_of_rotation,
+    rodrigues_rotate,
 )
 from .screw import (
     Screw,
@@ -56,6 +55,7 @@ from .screw import (
     conjugate_invariant,
     conjugate_pair_decompose,
     screw_from_displacement,
+    screw_from_fold,
 )
 
 EXIT_OK = 0
@@ -65,8 +65,6 @@ EXIT_GIBBS_OVERFLOW = 3
 EXIT_DEGENERATE = 4
 EXIT_NON_RIGID = 5
 EXIT_COLLINEAR = 6
-
-_OVERFLOW_FAMILY = (GibbsOverflow, AngleAtPi, ResultantHalfTurn, TraceSingular)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +182,26 @@ def build_displacement(records: Sequence[MotionRecord], radians: bool) -> Displa
     return acc
 
 
+def build_fold(records: Sequence[MotionRecord], radians: bool) -> tuple[float, Vec3, Vec3]:
+    """Fold the records, first record applied first, in Euler-Rodrigues form:
+    (cos(Theta/2), sin(Theta/2) axis, image of the origin), a half turn included."""
+    w, v, delta = 1.0, ZERO, ZERO
+    for rec in records:
+        if isinstance(rec, TransRecord):
+            delta = delta + Vec3(rec.tx, rec.ty, rec.tz)
+            continue
+        axis = make_unit(Vec3(rec.dx, rec.dy, rec.dz))
+        point = Vec3(rec.px, rec.py, rec.pz)
+        theta = _to_radians(rec.angle, radians)
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        # Quaternion product (c, s axis)(w, v): this record after the fold so far.
+        w, v = c * w - s * axis.dot(v), v * c + axis * (s * w) + axis.cross(v) * s
+        delta = point + rodrigues_rotate(axis, theta, delta - point)
+    return w, v, delta
+
+
 def build_hom(records: Sequence[MotionRecord], radians: bool) -> HomTransform:
-    """Matrix-path fold of the same records; immune to half-turn overflow."""
+    """Matrix-path fold of the same records: the oracle's reference for them."""
     acc = IDENTITY_HOM
     for rec in records:
         acc = hom_compose(acc, _record_hom(rec, radians))
@@ -241,7 +257,10 @@ def _parse_failure(exc: ParseError) -> int:
 # subcommands
 
 
-def cmd_compose(args) -> int:
+def _motion_screw(args) -> int | tuple[Screw, Vec3 | None, Vec3]:
+    """(screw, q, delta) of the motion file, or the exit code of a reported
+    parse or I/O failure. q is None for a half turn, which has no rotation
+    vector; its screw then comes from the Euler-Rodrigues fold."""
     try:
         records = parse_motion_file(_read_text(args.file))
     except ParseError as exc:
@@ -250,42 +269,36 @@ def cmd_compose(args) -> int:
         _emit("error", "io")
         _emit("error.message", str(exc))
         return EXIT_PARSE
-
     try:
         D = build_displacement(records, args.radians)
-        screw = screw_from_displacement(D)
-    except _OVERFLOW_FAMILY:
-        # Half-turn composite: the rational vector overflows, but the matrix
-        # path still produces the screw.
-        H = build_hom(records, args.radians)
-        screw = screw_from_hom_bruteforce(H)
+    except (AngleAtPi, ResultantHalfTurn):
+        w, v, delta = build_fold(records, args.radians)
+        return screw_from_fold(w, v, delta), None, delta
+    return screw_from_displacement(D), D.q.as_vec3(), D.delta
+
+
+def cmd_compose(args) -> int:
+    folded = _motion_screw(args)
+    if isinstance(folded, int):
+        return folded
+    screw, q, delta = folded
+    if q is None:
         _emit("gibbs", "overflow")
         _emit_screw(screw, args.radians)
-        _emit("delta", _fmt_vec(H.d))
+        _emit("delta", _fmt_vec(delta))
         return EXIT_GIBBS_OVERFLOW
-
     _emit_screw(screw, args.radians)
-    _emit("q", _fmt_vec(D.q.as_vec3()))
-    _emit("delta", _fmt_vec(D.delta))
+    _emit("q", _fmt_vec(q))
+    _emit("delta", _fmt_vec(delta))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
-    try:
-        records = parse_motion_file(_read_text(args.file))
-    except ParseError as exc:
-        return _parse_failure(exc)
-    except OSError as exc:
-        _emit("error", "io")
-        _emit("error.message", str(exc))
-        return EXIT_PARSE
-
-    try:
-        D = build_displacement(records, args.radians)
-        screw = screw_from_displacement(D)
-    except _OVERFLOW_FAMILY:
-        H = build_hom(records, args.radians)
-        screw = screw_from_hom_bruteforce(H)
+    folded = _motion_screw(args)
+    if isinstance(folded, int):
+        return folded
+    screw, q, _ = folded
+    if q is None:
         _emit("gibbs", "overflow")
         _emit_screw(screw, args.radians)
         return EXIT_GIBBS_OVERFLOW
@@ -378,7 +391,7 @@ def cmd_fit(args) -> int:
         _emit("error", "non-rigid")
         _emit("error.message", str(exc))
         return EXIT_NON_RIGID
-    except _OVERFLOW_FAMILY as exc:
+    except TraceSingular as exc:
         _emit("error", "gibbs-overflow")
         _emit("error.message", str(exc))
         return EXIT_GIBBS_OVERFLOW

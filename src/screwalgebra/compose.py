@@ -22,17 +22,9 @@ from .errors import (
     DegenerateResultant,
     IntersectingAxes,
     ResultantHalfTurn,
-    TraceSingular,
     ZeroTranslation,
 )
-from .rotation import (
-    Displacement,
-    GibbsVector,
-    apply_displacement,
-    gibbs_from_matrix,
-    matrix_from_gibbs,
-    rodrigues_rotate,
-)
+from .rotation import Displacement, GibbsVector, apply_displacement, rodrigues_rotate
 
 if TYPE_CHECKING:
     from .screw import Screw
@@ -134,7 +126,7 @@ def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
     den = 1.0 - a.dot(b) / 4.0
     if abs(den) < HALF_TURN_DENOM_TOL:
         raise ResultantHalfTurn(
-            f"resultant is a half turn (denominator {den}); use the matrix form"
+            f"resultant is a half turn (denominator {den}); it has no rotation vector"
         )
     s = (a + b + b.cross(a) * 0.5) / den
     return GibbsVector(s.x, s.y, s.z)
@@ -200,22 +192,13 @@ def compose_displacements(D1: Displacement, D2: Displacement) -> Displacement:
     """Displacement "do D1, then D2".
 
     The rotation vectors fold rationally; the new origin displacement is the
-    image of D1.delta under D2. If the rational fold signals a half turn the
-    matrix route is tried, and if the resultant truly is a half turn (no
-    rotation vector exists) ResultantHalfTurn propagates to the caller.
+    image of D1.delta under D2. Raises ResultantHalfTurn (from compose_gibbs)
+    when the composite is a half turn, which has no rotation vector;
+    screw.screw_from_fold takes the screw of such a motion from its
+    Euler-Rodrigues parameters.
     """
-    try:
-        q = compose_gibbs(D1.q, D2.q)
-    except ResultantHalfTurn:
-        M = matrix_from_gibbs(D2.q).matmul(matrix_from_gibbs(D1.q))
-        try:
-            q = gibbs_from_matrix(M)
-        except TraceSingular as exc:
-            raise ResultantHalfTurn(
-                "composite rotation is a half turn; no rotation vector exists"
-            ) from exc
-    delta = apply_displacement(D2, D1.delta)
-    return Displacement(q, delta)
+    q = compose_gibbs(D1.q, D2.q)
+    return Displacement(q, apply_displacement(D2, D1.delta))
 
 
 def _closest_points(
@@ -247,7 +230,7 @@ def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec
     Raises IntersectingAxes when the axes meet within 1e-9, and
     DegenerateResultant when the composite is the identity.
     """
-    from .screw import Screw
+    from .screw import Screw, fold_central_axis
 
     p1, d1 = line1.line.point, line1.line.dir
     p2, d2 = line2.line.point, line2.line.dir
@@ -285,13 +268,7 @@ def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec
             raise DegenerateResultant("the two rotations cancel exactly")
         return Screw.pure_translation(delta_world), delta_world
 
-    sin_half = vec.norm()
-    axis_c = vec / sin_half
-    slide = delta_c.dot(axis_c)
-
-    perp = delta_c - axis_c * slide
-    cot_half = abs(w) / sin_half
-    point_c = perp * 0.5 + axis_c.cross(perp) * (0.5 * cot_half)
+    axis_c, point_c, slide = fold_central_axis(w, vec, delta_c)
 
     def to_world(comp: Vec3) -> Vec3:
         return ex * comp.x + ey * comp.y + ez * comp.z

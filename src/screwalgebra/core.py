@@ -132,25 +132,6 @@ class Rotation:
             raise ValueError(f"rotation angle {self.angle} outside (-pi, pi]")
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Absolute and relative comparison tolerances (both positive)."""
-
-    abs: float = 1e-9
-    rel: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.abs > 0 and self.rel > 0):
-            raise ValueError("tolerances must be positive")
-
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.abs + self.rel * max(abs(a), abs(b))
-
-    def vec_close(self, a: Vec3, b: Vec3) -> bool:
-        scale = max(a.norm(), b.norm())
-        return (a - b).norm() <= self.abs + self.rel * scale
-
-
 def distance_between_lines(a: AxisLine, b: AxisLine) -> float:
     """Minimal distance between two lines (0 when they meet)."""
     n = a.dir.cross(b.dir)

@@ -22,7 +22,11 @@ class TraceSingular(ScrewAlgebraError):
 
 
 class ResultantHalfTurn(ScrewAlgebraError):
-    """The composed rotation is a half turn; use the matrix path instead."""
+    """The composed rotation is a half turn and has no rotation vector.
+
+    Its Euler-Rodrigues parameters (cos(theta/2), sin(theta/2) axis) stay
+    finite; screw.screw_from_fold takes the screw from them.
+    """
 
 
 class GibbsOverflow(ScrewAlgebraError):
@@ -39,14 +43,6 @@ class DegenerateResultant(ScrewAlgebraError):
 
 class ZeroTranslation(ScrewAlgebraError):
     """A zero translation cannot be replaced by a rotation couple."""
-
-
-class ZeroSlide(ScrewAlgebraError):
-    """The screw has no slide component; the pair decomposition degenerates."""
-
-
-class NoAxisDirection(ScrewAlgebraError):
-    """The displacement has no rotation part, hence no axis direction."""
 
 
 class DegenerateInput(ScrewAlgebraError):

@@ -4,6 +4,7 @@ Everything here is built directly from cosines and sines and from generic
 linear algebra (SVD, least squares) — deliberately none of the rational
 half-tangent formulas of the main modules — so its failure modes are
 independent of theirs. It shares only the plain value containers.
+It only verifies: no library or command-line answer is computed by it.
 """
 
 from __future__ import annotations

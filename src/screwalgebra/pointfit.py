@@ -253,17 +253,19 @@ def gibbs_by_midpoint_elimination(
     )
 
 
-def _signed_volume(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3) -> float:
-    """(p1 - p0) x (p2 - p0) . (p3 - p0): six times the tetrahedron's volume."""
-    ax, ay, az = p1.x - p0.x, p1.y - p0.y, p1.z - p0.z
-    bx, by, bz = p2.x - p0.x, p2.y - p0.y, p2.z - p0.z
-    cx, cy, cz = p3.x - p0.x, p3.y - p0.y, p3.z - p0.z
+def _signed_volume(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3, scale: float) -> float:
+    """(p1 - p0) x (p2 - p0) . (p3 - p0) / scale^3: six times the
+    tetrahedron's volume in units of scale^3.
+
+    Each edge is divided by scale before the products, so the result stays
+    finite while scale bounds the edges.
+    """
+    ax, ay, az = (p1.x - p0.x) / scale, (p1.y - p0.y) / scale, (p1.z - p0.z) / scale
+    bx, by, bz = (p2.x - p0.x) / scale, (p2.y - p0.y) / scale, (p2.z - p0.z) / scale
+    cx, cy, cz = (p3.x - p0.x) / scale, (p3.y - p0.y) / scale, (p3.z - p0.z) / scale
     vol = (ay * bz - az * by) * cx + (az * bx - ax * bz) * cy + (ax * by - ay * bx) * cz
     if not abs(vol) < math.inf:
-        # Overflow: Vec3 arithmetic raises where a difference or the cross
-        # product is non-finite, and otherwise gives the same infinite value.
-        a, b, c = p1 - p0, p2 - p0, p3 - p0
-        return a.cross(b).dot(c)
+        p1 - p0, p2 - p0, p3 - p0  # an overflowed edge raises, as Vec3 arithmetic does
     return vol
 
 
@@ -275,24 +277,28 @@ def check_rigidity(corrs: Sequence[Correspondence]) -> RigidityReport:
     keeps its sign (False means the data is a mirror image, which no
     rotation-plus-translation can produce).
 
-    Raises TooFewPoints below four correspondences and CoplanarPoints when
+    Raises TooFewPoints below four correspondences, CoplanarPoints when
     the first four before-points span no volume (the exception carries the
-    rigid verdict in its `rigid` attribute).
+    rigid verdict in its `rigid` attribute), and ValueError when a
+    coordinate difference or pairwise distance overflows.
     """
     if len(corrs) < 4:
         raise TooFewPoints(f"need at least 4 correspondences, got {len(corrs)}")
     before = [c.before for c in corrs]
     dist = _pair_distances(before)
     scale = max(dist)
+    if not scale < math.inf:
+        raise ValueError("non-finite component: a pairwise distance overflows")
     rigid = (
         scale > 0.0
         and _distance_change(corrs, dist, RIGIDITY_REL_TOL * scale) is not None
     )
-    vol_before = _signed_volume(*before[:4])
-    if abs(vol_before) <= COPLANAR_REL_TOL * scale**3:
+    # scale = 0: the before-points coincide at float resolution.
+    vol_before = _signed_volume(*before[:4], scale) if scale > 0.0 else 0.0
+    if abs(vol_before) <= COPLANAR_REL_TOL:
         raise CoplanarPoints(
             "first four points are coplanar; orientation is undecidable",
             rigid=rigid,
         )
-    vol_after = _signed_volume(*(c.after for c in corrs[:4]))
+    vol_after = _signed_volume(*(c.after for c in corrs[:4]), scale)
     return RigidityReport(rigid=rigid, proper=vol_before * vol_after > 0.0)

@@ -3,7 +3,8 @@
 A rotation by theta about a unit axis is carried by the vector
 q = 2 tan(theta/2) * axis, which keeps every composition and evaluation
 formula rational in the parameters. theta = pi is not representable in this
-form; matrix-based paths cover it.
+form; the Euler-Rodrigues parameters (cos(theta/2), sin(theta/2) * axis)
+cover it (compose.fold_half_angle, screw.screw_from_fold).
 
 A general displacement is stored as (q, delta) where delta is the image
 displacement of the coordinate origin.
@@ -39,9 +40,6 @@ class GibbsVector:
 
     def norm(self) -> float:
         return math.sqrt(self.m * self.m + self.n * self.n + self.p * self.p)
-
-    def is_zero(self) -> bool:
-        return self.m == 0.0 and self.n == 0.0 and self.p == 0.0
 
     @staticmethod
     def from_vec3(v: Vec3) -> "GibbsVector":
@@ -103,9 +101,6 @@ class RotationMatrix:
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-IDENTITY_MATRIX = RotationMatrix(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-
-
 @dataclass(frozen=True, slots=True)
 class Displacement:
     """General rigid displacement: rotation vector q plus origin image delta.
@@ -119,9 +114,6 @@ class Displacement:
 
     def gamma(self) -> Vec3:
         return self.delta - self.q.as_vec3().cross(self.delta) * 0.5
-
-
-IDENTITY_DISPLACEMENT = Displacement(GIBBS_ZERO, Vec3(0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True, slots=True)

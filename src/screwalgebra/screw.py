@@ -49,6 +49,7 @@ from .rotation import (
 )
 
 ZERO_SLIDE_TOL = 1e-12
+ZERO_ANGLE_TOL = 1e-12
 PLANE_COLLINEAR_TOL = 1e-9
 FIT_CONSISTENCY_TOL = 1e-6
 
@@ -145,17 +146,18 @@ def screw_from_displacement(D: Displacement) -> Screw:
 
     The axis passes through r0 = delta/2 - delta x q / q^2 (the slide's
     midpoint construction); the slide is the projection of delta on the
-    axis direction. A zero rotation vector gives the identity or a pure
-    translation.
+    axis direction. A rotation vector of length at most 1e-12 gives the
+    identity or a pure translation.
     """
-    if D.q.is_zero():
+    qx, qy, qz = D.q.m, D.q.n, D.q.p
+    q2 = qx * qx + qy * qy + qz * qz
+    qn = math.sqrt(q2)
+    if qn <= ZERO_DIRECTION_TOL:
         if D.delta.norm() == 0.0:
             return Screw.identity()
         return Screw.pure_translation(D.delta)
-    qx, qy, qz = D.q.m, D.q.n, D.q.p
     ux, uy, uz = _unit_components(qx, qy, qz)
-    q2 = qx * qx + qy * qy + qz * qz
-    theta = 2.0 * math.atan(math.sqrt(q2) / 2.0)
+    theta = 2.0 * math.atan(qn / 2.0)
     d = D.delta
     slide = d.x * ux + d.y * uy + d.z * uz
     # r0 = delta / 2 - (delta x q) / q^2
@@ -165,11 +167,43 @@ def screw_from_displacement(D: Displacement) -> Screw:
     return Screw.general(Vec3(rx, ry, rz), UnitVec3(ux, uy, uz), theta, slide)
 
 
+def fold_central_axis(w: float, vec: Vec3, delta: Vec3) -> tuple[Vec3, Vec3, float]:
+    """Axis direction, axis point and slide of a fold moving the origin by delta.
+
+    w = cos(Theta/2) and vec, nonzero, as fold_angle_axis returns them. The
+    slide is delta's projection on the axis; the axis point is the midpoint
+    construction perp/2 + (axis x perp) cot(Theta/2)/2 on the rest, perp.
+    """
+    sin_half = vec.norm()
+    axis = vec / sin_half
+    slide = delta.dot(axis)
+    perp = delta - axis * slide
+    cot_half = abs(w) / sin_half
+    return axis, perp * 0.5 + axis.cross(perp) * (0.5 * cot_half), slide
+
+
+def screw_from_fold(w: float, v: Vec3, delta: Vec3) -> Screw:
+    """Screw of the displacement with Euler-Rodrigues parameters (w, v).
+
+    (w, v) = (cos(Theta/2), sin(Theta/2) axis) is the rotation part and
+    delta the image of the origin. Unlike the rotation vector these stay
+    finite at Theta = pi. An angle of at most 1e-12 gives the identity or a
+    pure translation.
+    """
+    theta, vec = fold_angle_axis(w, v)
+    if vec is None or theta <= ZERO_ANGLE_TOL:
+        if delta.norm() == 0.0:
+            return Screw.identity()
+        return Screw.pure_translation(delta)
+    axis, point, slide = fold_central_axis(w, vec, delta)
+    return Screw.general(point, make_unit(axis), theta, slide)
+
+
 def displacement_from_screw(S: Screw) -> Displacement:
     """Rebuild the displacement: rotate about the axis, then slide along it.
 
     Raises GibbsOverflow for a half-turn screw, which has no rotation
-    vector; evaluate those through the matrix form in the oracle module.
+    vector.
     """
     if S.kind is ScrewKind.IDENTITY:
         return Displacement(GIBBS_ZERO, Vec3(0.0, 0.0, 0.0))
@@ -190,9 +224,10 @@ def absolute_translation(D: Displacement) -> AbsoluteTranslation:
 
     The projection is the same for all points: the screw's slide. For a
     pure translation there is no axis and the full length |delta| is
-    returned with translation_only set.
+    returned with translation_only set, as it is for a rotation vector of
+    length at most 1e-12.
     """
-    if D.q.is_zero():
+    if D.q.norm() <= ZERO_DIRECTION_TOL:
         return AbsoluteTranslation(D.delta.norm(), True)
     direction = make_unit(D.q.as_vec3())
     return AbsoluteTranslation(D.delta.dot(direction), False)

@@ -10,10 +10,14 @@ from screwalgebra.cli import (
     ParseError,
     RotRecord,
     TransRecord,
+    build_hom,
     format_motion_file,
     main,
     parse_motion_file,
 )
+from screwalgebra.oracle import screw_from_hom_bruteforce
+from screwalgebra.screw import Screw, ScrewKind
+from _util import xyz
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict[str, str]]:
@@ -28,6 +32,37 @@ def run_cli(capsys, *argv: str) -> tuple[int, dict[str, str]]:
 
 def vec(report: dict[str, str], key: str) -> tuple[float, ...]:
     return tuple(float(part) for part in report[key].split(","))
+
+
+def assert_screw_report(report: dict[str, str], s: Screw) -> None:
+    """The report holds exactly the screw's printed fields (degrees), each to 1e-9."""
+    if s.kind is ScrewKind.TRANSLATION:
+        assert set(report) == {"kind", "translation", "angle"}
+        assert report["kind"] == "translation"
+        assert vec(report, "translation") == pytest.approx(xyz(s.translation), abs=1e-9)
+        assert float(report["angle"]) == 0.0
+        return
+    assert s.kind is ScrewKind.GENERAL
+    assert set(report) == {"kind", "axis.point", "axis.dir", "angle", "slide"}
+    assert report["kind"] == "screw"
+    assert vec(report, "axis.point") == pytest.approx(xyz(s.axis.point), abs=1e-9)
+    assert vec(report, "axis.dir") == pytest.approx(xyz(s.axis.dir), abs=1e-9)
+    assert float(report["angle"]) == pytest.approx(math.degrees(s.theta), abs=1e-9)
+    assert float(report["slide"]) == pytest.approx(s.slide, abs=1e-9)
+
+
+# Motion files with no rotation vector: a record or the composite is a half turn.
+HALF_TURN_FILES = {
+    "lone-180": "rot 0 0 1 0 0 0 180\n",
+    "lone-minus-180": "rot 0 -2 1  3 0 1  -180\n",
+    "180-then-trans": "rot 0 0 1  1 2 0  180\ntrans 0.5 -1 3\n",
+    "mid-chain-180": (
+        "rot 1 0 0  0 0 0  30\nrot 0.3 -0.4 1  1 0 2  180\n"
+        "rot 0 1 0  0 0 2  45\ntrans 1 2 3\n"
+    ),
+    "a-plus-complement": "rot 2 -1 2  1 1 0  35\nrot 2 -1 2  1 1 0  145\n",
+    "180-then-minus-180": "rot 0 1 1  0 0 0  180\nrot 0 1 1  2 -1 1  -180\n",
+}
 
 
 class TestMotionFileParsing:
@@ -107,14 +142,20 @@ class TestCompose:
         assert code == 2
         assert report["error.line"] == "2"
 
-    def test_half_turn_overflows_but_screw_is_printed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", HALF_TURN_FILES.values(), ids=HALF_TURN_FILES.keys())
+    def test_half_turn_overflows_but_screw_is_printed(self, text, tmp_path, capsys):
         src = tmp_path / "m.txt"
-        src.write_text("rot 0 0 1 0 0 0 180\n")
-        code, report = run_cli(capsys, "compose", str(src))
-        assert code == 3
-        assert report["gibbs"] == "overflow"
-        assert report["kind"] == "screw"
-        assert float(report["angle"]) == pytest.approx(180.0, abs=1e-9)
+        src.write_text(text)
+        H = build_hom(parse_motion_file(text), False)
+        expected = screw_from_hom_bruteforce(H)
+        for command in ("compose", "decompose"):
+            code, report = run_cli(capsys, command, str(src))
+            assert code == 3
+            assert report.pop("gibbs") == "overflow"
+            if command == "compose":
+                assert vec(report, "delta") == pytest.approx(xyz(H.d), abs=1e-9)
+                del report["delta"]
+            assert_screw_report(report, expected)
 
     def test_radians_flag(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
@@ -215,6 +256,21 @@ class TestFit:
         assert code == 5
         assert report["rigidity.proper"] == "false"
         assert report["error"] == "improper"
+
+    def test_translated_points_give_a_translation(self, tmp_path, capsys):
+        # The frame fit leaves a rotation vector of rounding size (~1e-16).
+        t = (-3.79, -1.67, 2.21)
+        points = [
+            (-2.67, -2.69, -2.81), (-0.4, -2.1, -4.79), (3.38, 0.56, 1.42), (-3.14, 4.93, 3.6)
+        ]
+        rows = [(*p, *(a + b for a, b in zip(p, t))) for p in points]
+        src = tmp_path / "points.csv"
+        src.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        code, report = run_cli(capsys, "fit", str(src))
+        assert code == 0
+        assert report["kind"] == "translation"
+        assert vec(report, "translation") == pytest.approx(t, abs=1e-9)
+        assert report["rigidity.proper"] == "true"
 
     def test_collinear_points_exit_6(self, tmp_path, capsys):
         src = tmp_path / "points.csv"

@@ -9,7 +9,6 @@ import pytest
 from screwalgebra import (
     AxisLine,
     Rotation,
-    Tolerance,
     UnitVec3,
     Vec3,
     ZeroVector,
@@ -132,15 +131,3 @@ class TestLineGeometry:
         assert angle_between(Vec3(1, 0, 0), Vec3(-2, 0, 0)) == pytest.approx(
             math.pi, abs=1e-15
         )
-
-
-class TestTolerance:
-    def test_scalar_close(self):
-        tol = Tolerance()
-        assert tol.close(1.0, 1.0 + 5e-10)
-        assert not tol.close(1.0, 1.01)
-
-    def test_vector_close(self):
-        tol = Tolerance()
-        assert tol.vec_close(Vec3(0, 0, 0), Vec3(0, 0, 1e-10))
-        assert not tol.vec_close(Vec3(0, 0, 0), Vec3(0, 1e-3, 0))

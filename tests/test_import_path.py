@@ -32,3 +32,19 @@ def test_numpy_stays_off_the_import_path():
     check = _run("-m", "screwalgebra.cli", "check", "--samples", "5")
     assert check.returncode == 0, check.stdout + check.stderr
     assert "checks.failed=0" in check.stdout
+
+
+def test_half_turn_reports_do_not_load_numpy(tmp_path):
+    # A half turn has no rotation vector; its screw comes from the
+    # Euler-Rodrigues fold, not from the numpy oracle.
+    src = tmp_path / "half-turn.txt"
+    src.write_text("rot 0 0 1  1 2 0  180\ntrans 0 0 3\n")
+    probe = _run(
+        "-c",
+        "import sys\n"
+        "from screwalgebra.cli import main\n"
+        f"codes = [main([command, {str(src)!r}]) for command in ('compose', 'decompose')]\n"
+        "print(codes, 'numpy' in sys.modules)",
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "[3, 3] False"

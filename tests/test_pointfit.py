@@ -238,6 +238,10 @@ CASES = {
         RigidityReport,
     ),
     "half-turn": (_half_turn_z(TET), TraceSingular, RigidityReport),
+    # The volume, 1e330, overflows; measured in units of the spread it does not.
+    "wide": (
+        _same([tuple(c * 1e110 for c in p) for p in TET]), Displacement, RigidityReport
+    ),
     # Only the difference of two base points overflows.
     "overflowing-before": (
         _corrs(zip([TET[0], (1e308, 0.0, 0.0), (-1e308, 1.0, 0.0), TET[3]], TET)),
@@ -302,6 +306,7 @@ def test_coplanar_carries_the_rigid_verdict(name, rigid):
 def test_rigidity_verdicts_of_the_regular_cases():
     assert check_rigidity(CASES["short-edge"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["half-turn"][0]) == RigidityReport(rigid=True, proper=True)
+    assert check_rigidity(CASES["wide"][0]) == RigidityReport(rigid=True, proper=True)
 
 
 def test_half_turn_message():
