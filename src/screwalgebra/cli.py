@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .checks import run_all
+from .checks import TOL_REFERENCE, run_all
 from .compose import compose_displacements
-from .core import ZERO, Vec3, make_unit
+from .core import ZERO, ZERO_CUT, Vec3, make_unit
 from .errors import (
     AngleAtPi,
     CollinearPoints,
@@ -99,8 +99,9 @@ MotionRecord = Union[RotRecord, TransRecord]
 def parse_motion_file(text: str) -> list[MotionRecord]:
     """Parse motion-file text into records, in file order.
 
-    Raises ParseError (with the 1-based line number) on any malformed line
-    and on a file with no records at all.
+    Raises ParseError (with the 1-based line number) on any malformed line,
+    a non-finite number, a rot axis direction of length <= 1e-12 or one
+    whose length overflows, and on a file with no records at all.
     """
     records: list[MotionRecord] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -119,15 +120,23 @@ def parse_motion_file(text: str) -> list[MotionRecord]:
                     f"rot needs 7 numbers (dx dy dz px py pz angle), got {len(values)}",
                     line=lineno,
                 )
-            records.append(RotRecord(*values))
+            record: MotionRecord = RotRecord(*values)
         elif kind == "trans":
             if len(values) != 3:
                 raise ParseError(
                     f"trans needs 3 numbers (tx ty tz), got {len(values)}", line=lineno
                 )
-            records.append(TransRecord(*values))
+            record = TransRecord(*values)
         else:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite number in {line!r}", line=lineno)
+        if kind == "rot":
+            dx, dy, dz = values[:3]
+            # make_unit's cut on |axis|, so _record_displacement cannot raise.
+            if not ZERO_CUT < math.sqrt(dx * dx + dy * dy + dz * dz) < math.inf:
+                raise ParseError("rot axis direction is zero or overflows", line=lineno)
+        records.append(record)
     if not records:
         raise ParseError("no records in motion file", line=0)
     return records
@@ -253,6 +262,12 @@ def _parse_failure(exc: ParseError) -> int:
     return EXIT_PARSE
 
 
+def _failure(kind: str, message: object, code: int) -> int:
+    _emit("error", kind)
+    _emit("error.message", str(message))
+    return code
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -266,9 +281,7 @@ def _motion_screw(args) -> int | tuple[Screw, Vec3 | None, Vec3]:
     except ParseError as exc:
         return _parse_failure(exc)
     except OSError as exc:
-        _emit("error", "io")
-        _emit("error.message", str(exc))
-        return EXIT_PARSE
+        return _failure("io", exc, EXIT_PARSE)
     try:
         D = build_displacement(records, args.radians)
     except (AngleAtPi, ResultantHalfTurn):
@@ -360,6 +373,8 @@ def _parse_csv(path: str) -> list[Correspondence]:
                     f"row needs 6 numbers (x,y,z,xp,yp,zp), got {len(values)}",
                     line=lineno,
                 )
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"non-finite number in row: {row}", line=lineno)
             corrs.append(
                 Correspondence(Vec3(*values[:3]), Vec3(*values[3:]))
             )
@@ -372,33 +387,22 @@ def cmd_fit(args) -> int:
     except ParseError as exc:
         return _parse_failure(exc)
     except OSError as exc:
-        _emit("error", "io")
-        _emit("error.message", str(exc))
-        return EXIT_PARSE
+        return _failure("io", exc, EXIT_PARSE)
     if len(corrs) < 3:
-        _emit("error", "parse")
-        _emit("error.line", "0")
-        _emit("error.message", f"need at least 3 correspondences, got {len(corrs)}")
-        return EXIT_PARSE
+        msg = f"need at least 3 correspondences, got {len(corrs)}"
+        return _parse_failure(ParseError(msg, line=0))
 
+    # ValueError: a coordinate difference, cross product or distance overflows.
     try:
         fit = fit_displacement(corrs[0], corrs[1], corrs[2])
-    except CollinearPoints as exc:
-        _emit("error", "collinear")
-        _emit("error.message", str(exc))
-        return EXIT_COLLINEAR
+    except (CollinearPoints, ZeroVector) as exc:
+        return _failure("collinear", exc, EXIT_COLLINEAR)
     except NonRigidData as exc:
-        _emit("error", "non-rigid")
-        _emit("error.message", str(exc))
-        return EXIT_NON_RIGID
+        return _failure("non-rigid", exc, EXIT_NON_RIGID)
     except TraceSingular as exc:
-        _emit("error", "gibbs-overflow")
-        _emit("error.message", str(exc))
-        return EXIT_GIBBS_OVERFLOW
-    except ZeroVector as exc:
-        _emit("error", "collinear")
-        _emit("error.message", str(exc))
-        return EXIT_COLLINEAR
+        return _failure("gibbs-overflow", exc, EXIT_GIBBS_OVERFLOW)
+    except ValueError as exc:
+        return _failure("range", exc, EXIT_PARSE)
 
     _emit("q", _fmt_vec(fit.q.as_vec3()))
     _emit("delta", _fmt_vec(fit.delta))
@@ -409,27 +413,25 @@ def cmd_fit(args) -> int:
             report = check_rigidity(corrs)
         except CoplanarPoints as exc:
             _emit("rigidity.coplanar", "true")
-            rigid = exc.rigid
-            if rigid is not None:
-                _emit("rigidity.rigid", "true" if rigid else "false")
-                if not rigid:
-                    _emit("error", "non-rigid")
-                    _emit("error.message", str(exc))
-                    return EXIT_NON_RIGID
+            if exc.rigid is not None:
+                _emit("rigidity.rigid", "true" if exc.rigid else "false")
+                if not exc.rigid:
+                    return _failure("non-rigid", exc, EXIT_NON_RIGID)
             return EXIT_OK
+        except ValueError as exc:
+            return _failure("range", exc, EXIT_PARSE)
         _emit("rigidity.rigid", "true" if report.rigid else "false")
         _emit("rigidity.proper", "true" if report.proper else "false")
         if not report.rigid:
-            _emit("error", "non-rigid")
-            _emit("error.message", "pairwise distances are not preserved")
-            return EXIT_NON_RIGID
-        if not report.proper:
-            _emit("error", "improper")
-            _emit(
-                "error.message",
-                "data is a mirror image: no rotation-plus-translation produces it",
+            return _failure(
+                "non-rigid", "pairwise distances are not preserved", EXIT_NON_RIGID
             )
-            return EXIT_NON_RIGID
+        if not report.proper:
+            return _failure(
+                "improper",
+                "data is a mirror image: no rotation-plus-translation produces it",
+                EXIT_NON_RIGID,
+            )
     return EXIT_OK
 
 
@@ -459,7 +461,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, root: bool) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=1e-9 if root else suppress,
+        default=TOL_REFERENCE if root else suppress,
         help="comparison tolerance for check (default 1e-9); other subcommands ignore it",
     )
     parser.add_argument(

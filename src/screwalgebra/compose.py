@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import EX, HALF_TURN_TIE_TOL, Rotation, UnitVec3, Vec3, make_unit
+from .core import AT_PI_CUT, DEGENERATE_CUT, MIN_COUPLE_ANGLE, ZERO_CUT, _half_turn_flip
+from .core import EX, Rotation, UnitVec3, Vec3, make_unit
 from .errors import (
     DegenerateInput,
     DegenerateResultant,
@@ -28,11 +29,6 @@ from .rotation import Displacement, GibbsVector, apply_displacement, rodrigues_r
 
 if TYPE_CHECKING:
     from .screw import Screw
-
-HALF_TURN_DENOM_TOL = 1e-12
-AXIS_SEPARATION_TOL = 1e-9
-ZERO_RESULTANT_TOL = 1e-12
-MIN_COUPLE_ANGLE = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,7 +92,7 @@ def fold_angle_axis(w: float, v: Vec3) -> tuple[float, Vec3 | None]:
     The returned vector is v possibly negated (when w < 0) so that rotating
     by Theta about its direction reproduces the fold; it is None when the
     resultant is the identity. At Theta = pi the sign is fixed so the first
-    nonzero component is positive.
+    component larger than 1e-12 in size is positive.
     """
     norm = v.norm()
     theta = 2.0 * math.atan2(norm, w)
@@ -105,12 +101,8 @@ def fold_angle_axis(w: float, v: Vec3) -> tuple[float, Vec3 | None]:
         v = -v
     if norm == 0.0 or theta == 0.0:
         return 0.0, None
-    if abs(theta - math.pi) <= HALF_TURN_TIE_TOL:
-        for comp in (v.x, v.y, v.z):
-            if comp != 0.0:
-                if comp < 0.0:
-                    v = -v
-                break
+    if abs(theta - math.pi) <= AT_PI_CUT and _half_turn_flip(v):
+        v = -v
     return theta, v
 
 
@@ -124,7 +116,7 @@ def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
     a = q1.as_vec3()
     b = q2.as_vec3()
     den = 1.0 - a.dot(b) / 4.0
-    if abs(den) < HALF_TURN_DENOM_TOL:
+    if abs(den) < AT_PI_CUT:
         raise ResultantHalfTurn(
             f"resultant is a half turn (denominator {den}); it has no rotation vector"
         )
@@ -179,7 +171,7 @@ def sine_proportionality(theta1: float, theta2: float, nu: float) -> SineRatios:
     axis2 = Vec3(math.cos(nu), math.sin(nu), 0.0)
     w, v = fold_half_angle(EX, theta1, axis2, theta2)
     sin_half = v.norm()
-    if sin_half <= ZERO_RESULTANT_TOL:
+    if sin_half <= ZERO_CUT:
         raise DegenerateResultant("identity resultant: axis angles undefined")
     s1 = math.sin(theta1 / 2.0)
     s2 = math.sin(theta2 / 2.0)
@@ -208,7 +200,7 @@ def _closest_points(
     c = d1.dot(d2)
     w = p2 - p1
     den = 1.0 - c * c
-    if den < 1e-12:
+    if den < ZERO_CUT:
         o2 = p2 + d2 * ((p1 - p2).dot(d2))
         return p1, o2
     t1 = (w.dot(d1) - c * w.dot(d2)) / den
@@ -239,9 +231,9 @@ def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec
     o1, o2 = _closest_points(p1, d1, p2, d2)
     sep = o2 - o1
     u = sep.norm()
-    if u < AXIS_SEPARATION_TOL:
+    if u < DEGENERATE_CUT:
         raise IntersectingAxes(
-            f"axes meet within {AXIS_SEPARATION_TOL}; use the intersecting form"
+            f"axes meet within {DEGENERATE_CUT}; use the intersecting form"
         )
 
     ex = d1
@@ -264,7 +256,7 @@ def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec
     delta_world = p2 + rodrigues_rotate(d2, th2, turned - p2)
 
     if vec is None:
-        if delta_c.norm() <= ZERO_RESULTANT_TOL:
+        if delta_c.norm() <= ZERO_CUT:
             raise DegenerateResultant("the two rotations cancel exactly")
         return Screw.pure_translation(delta_world), delta_world
 
@@ -338,7 +330,7 @@ def translation_as_couple(t: Vec3, thetaB: float, psi: float) -> Couple:
     infinity). Raises ZeroTranslation for |t| = 0.
     """
     mag = t.norm()
-    if mag <= 1e-12:
+    if mag <= ZERO_CUT:
         raise ZeroTranslation("cannot represent a zero translation as a couple")
     if not (MIN_COUPLE_ANGLE <= thetaB < math.pi):
         raise DegenerateInput(
@@ -346,7 +338,7 @@ def translation_as_couple(t: Vec3, thetaB: float, psi: float) -> Couple:
         )
     t_hat = make_unit(t)
     ref = Vec3(1.0, 0.0, 0.0) - t_hat * t_hat.x
-    if ref.norm() <= 1e-9:
+    if ref.norm() <= DEGENERATE_CUT:
         ref = Vec3(0.0, 1.0, 0.0) - t_hat * t_hat.y
     e1 = make_unit(ref)
     e2 = t_hat.cross(e1)

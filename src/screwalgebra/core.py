@@ -1,4 +1,4 @@
-"""Shared value types, tolerances, and the orientation convention.
+"""Shared value types, the threshold table, and the orientation convention.
 
 All cross products in this package are right-handed; every angle is in
 radians. Types are immutable values and safe to share between threads.
@@ -11,9 +11,18 @@ from dataclasses import dataclass
 
 from .errors import ZeroVector
 
-UNIT_LENGTH_TOL = 1e-12
-ZERO_DIRECTION_TOL = 1e-12
-HALF_TURN_TIE_TOL = 1e-12
+# The threshold table. Rodrigues' formulas are exact; the library departs from
+# them only at these values, and every library module reads them from here.
+ZERO_CUT = 1e-12  # 4500 ulps of 1: a length, angle, slide or sum this small is rounding
+AT_PI_CUT = 1e-12  # this near a half turn |q| = 2 tan(theta/2) passes 4e12: q blows up
+PI_ROUNDING = 1e-15  # two ulps of pi: a Rotation angle may pass pi by this much
+RESIDUAL_TOL = 1e-9  # 4.5e6 ulps: kept rounding of an identity (orthonormal, net zero)
+DEGENERATE_CUT = 1e-9  # relative: this near collinear, coplanar or meeting is degenerate
+TRACE_CUT = 1e-9  # 1 + trace = 4 cos^2(theta/2): 3.2e-5 rad from pi, q is unusable
+CHORD_TOL = 1e-10  # relative chord residual that rounding of an exact fit stays below
+RIGIDITY_TOL = 1e-6  # set by measurement noise: relative distance change still rigid
+MIN_COUPLE_ANGLE = 1e-6  # below it a couple's axes sit over 1e6 |t| apart
+SCALE_FLOOR = 1e-30  # below any real data scale: acts only when every point is at 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +73,6 @@ class Vec3:
 
 ZERO = Vec3(0.0, 0.0, 0.0)
 EX = Vec3(1.0, 0.0, 0.0)
-EY = Vec3(0.0, 1.0, 0.0)
 EZ = Vec3(0.0, 0.0, 1.0)
 
 
@@ -80,7 +88,7 @@ class UnitVec3(Vec3):
         # Explicit base call: slots=True rebuilds the class, which breaks
         # the zero-argument super() closure.
         Vec3.__post_init__(self)
-        if abs(self.norm() - 1.0) > UNIT_LENGTH_TOL:
+        if abs(self.norm() - 1.0) > ZERO_CUT:
             raise ValueError(f"not unit length: {(self.x, self.y, self.z)}")
 
     def __neg__(self) -> "UnitVec3":
@@ -93,7 +101,7 @@ def make_unit(v: Vec3) -> UnitVec3:
     Raises ZeroVector when |v| <= 1e-12.
     """
     n = v.norm()
-    if n <= ZERO_DIRECTION_TOL:
+    if n <= ZERO_CUT:
         raise ZeroVector(f"cannot normalize near-zero vector {v.as_tuple()}")
     return UnitVec3(v.x / n, v.y / n, v.z / n)
 
@@ -105,7 +113,7 @@ def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]
     ValueError for a non-finite component or a length that overflows.
     """
     n = math.sqrt(x * x + y * y + z * z)
-    if not ZERO_DIRECTION_TOL < n < math.inf:
+    if not ZERO_CUT < n < math.inf:
         return make_unit(Vec3(x, y, z)).as_tuple()
     return x / n, y / n, z / n
 
@@ -128,7 +136,7 @@ class Rotation:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError("non-finite rotation angle")
-        if not (-math.pi < self.angle <= math.pi + 1e-15):
+        if not (-math.pi < self.angle <= math.pi + PI_ROUNDING):
             raise ValueError(f"rotation angle {self.angle} outside (-pi, pi]")
 
 
@@ -137,7 +145,7 @@ def distance_between_lines(a: AxisLine, b: AxisLine) -> float:
     n = a.dir.cross(b.dir)
     w = b.point - a.point
     nn = n.norm()
-    if nn <= ZERO_DIRECTION_TOL:
+    if nn <= ZERO_CUT:
         return (w - a.dir * w.dot(a.dir)).norm()
     return abs(w.dot(n)) / nn
 
@@ -147,22 +155,30 @@ def angle_between(u: Vec3, v: Vec3) -> float:
     return math.atan2(u.cross(v).norm(), u.dot(v))
 
 
+def _half_turn_flip(v: Vec3) -> bool:
+    """True when the first component of v larger than 1e-12 in size is negative.
+
+    At a half turn both directions of the axis give the same map; every
+    caller keeps the one this returns False for.
+    """
+    for c in (v.x, v.y, v.z):
+        if abs(c) > ZERO_CUT:
+            return c < 0.0
+    return False
+
+
 def canonicalize_rotation(r: Rotation) -> Rotation:
     """Return the same point map with angle in [0, pi].
 
     A negative angle flips both the axis direction and the angle sign. At a
     half turn, where both directions give the same map, the direction is
-    fixed so its first nonzero component is positive.
+    fixed so its first component larger than 1e-12 in size is positive.
     """
     dir_, angle = r.line.dir, r.angle
     if angle < 0:
         dir_, angle = -dir_, -angle
-    if abs(angle - math.pi) <= HALF_TURN_TIE_TOL:
-        for c in (dir_.x, dir_.y, dir_.z):
-            if abs(c) > ZERO_DIRECTION_TOL:
-                if c < 0:
-                    dir_ = -dir_
-                break
+    if abs(angle - math.pi) <= AT_PI_CUT and _half_turn_flip(dir_):
+        dir_ = -dir_
     if dir_ is r.line.dir and angle == r.angle:
         return r
     return Rotation(AxisLine(r.line.point, dir_), angle)

@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import AxisLine, UnitVec3, Vec3
+from .core import DEGENERATE_CUT, RESIDUAL_TOL, ZERO_CUT, AxisLine, UnitVec3, Vec3
 from .errors import CoupleDegenerate, DegenerateInput
 from .rotation import Twist
-
-PARALLEL_DIR_TOL = 1e-9
-COUPLE_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +60,7 @@ def compose_twists(ts: Sequence[Twist]) -> Twist:
     return Twist(delta, omega)
 
 
-def twist_equilibrium(ts: Sequence[Twist], tol: float = 1e-9) -> bool:
+def twist_equilibrium(ts: Sequence[Twist], tol: float = RESIDUAL_TOL) -> bool:
     """True when the summed twist vanishes: |sum delta| and |sum omega| <= tol."""
     total = compose_twists(ts)
     return total.delta.norm() <= tol and total.omega.norm() <= tol
@@ -102,10 +99,10 @@ def parallel_rotation_center(
         raise DegenerateInput("need one angle per line, at least one line")
     d0 = lines[0].dir
     for line in lines[1:]:
-        if d0.dot(line.dir) < 1.0 - PARALLEL_DIR_TOL:
+        if d0.dot(line.dir) < 1.0 - DEGENERATE_CUT:
             raise DegenerateInput("axis lines are not parallel (equal directions)")
     total = math.fsum(thetas)
-    if abs(total) <= COUPLE_SUM_TOL:
+    if abs(total) <= ZERO_CUT:
         raise CoupleDegenerate("angles cancel; the resultant is a translation")
     mean = Vec3(
         math.fsum(line.point.x * t for line, t in zip(lines, thetas)) / total,
@@ -136,7 +133,7 @@ _BASIS_TWISTS = (
 )
 
 
-def force_equilibrium(forces: Sequence[PointForce], tol: float = 1e-9) -> bool:
+def force_equilibrium(forces: Sequence[PointForce], tol: float = RESIDUAL_TOL) -> bool:
     """True when net force and net moment vanish within tol.
 
     Evaluated literally as virtual_work on the six basis twists (three unit

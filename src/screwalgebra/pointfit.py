@@ -12,14 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import Vec3, _unit_components
+from .core import CHORD_TOL, DEGENERATE_CUT, RIGIDITY_TOL, Vec3, _unit_components
 from .errors import CollinearPoints, CoplanarPoints, NonRigidData, TooFewPoints
 from .rotation import Displacement, GibbsVector, RotationMatrix, gibbs_from_matrix
-
-RIGIDITY_REL_TOL = 1e-6
-COLLINEAR_REL_TOL = 1e-9
-COPLANAR_REL_TOL = 1e-9
-PATH_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,11 +120,11 @@ def fit_displacement(
     area2 = math.sqrt(nx * nx + ny * ny + nz * nz)
     if not area2 < math.inf:
         Vec3(nx, ny, nz)  # an overflowed cross product raises, as in Vec3.cross
-    if area2 <= COLLINEAR_REL_TOL * scale * scale:
+    if area2 <= DEGENERATE_CUT * scale * scale:
         raise CollinearPoints("base points are collinear; no frame exists")
     # scale is the largest before-distance, so each pair's tolerance
-    # RIGIDITY_REL_TOL * max(distance, scale) is RIGIDITY_REL_TOL * scale.
-    change = _distance_change(corrs, dist, RIGIDITY_REL_TOL * scale)
+    # RIGIDITY_TOL * max(distance, scale) is RIGIDITY_TOL * scale.
+    change = _distance_change(corrs, dist, RIGIDITY_TOL * scale)
     if change is None:
         raise NonRigidData("pairwise distances are not preserved")
 
@@ -185,7 +180,7 @@ def _verify_chord_equations(
     cx, cy, cz = a.x - b.x, a.y - b.y, a.z - b.z
     mx, my, mz = (a.x + b.x) * 0.5, (a.y + b.y) * 0.5, (a.z + b.z) * 0.5
     qn = math.sqrt(qx * qx + qy * qy + qz * qz)
-    bound = max(PATH_AGREEMENT_TOL * max(1.0, qn), 4.0 * defect) * scale
+    bound = max(CHORD_TOL * max(1.0, qn), 4.0 * defect) * scale
     for c in corrs[1:]:
         a, b = c.after, c.before
         dx, dy, dz = (a.x - b.x) - cx, (a.y - b.y) - cy, (a.z - b.z) - cz
@@ -291,11 +286,11 @@ def check_rigidity(corrs: Sequence[Correspondence]) -> RigidityReport:
         raise ValueError("non-finite component: a pairwise distance overflows")
     rigid = (
         scale > 0.0
-        and _distance_change(corrs, dist, RIGIDITY_REL_TOL * scale) is not None
+        and _distance_change(corrs, dist, RIGIDITY_TOL * scale) is not None
     )
     # scale = 0: the before-points coincide at float resolution.
     vol_before = _signed_volume(*before[:4], scale) if scale > 0.0 else 0.0
-    if abs(vol_before) <= COPLANAR_REL_TOL:
+    if abs(vol_before) <= DEGENERATE_CUT:
         raise CoplanarPoints(
             "first four points are coplanar; orientation is undecidable",
             rigid=rigid,

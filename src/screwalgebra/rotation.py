@@ -15,12 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import AT_PI_CUT, RESIDUAL_TOL, TRACE_CUT, ZERO_CUT
 from .core import EZ, UnitVec3, Vec3, make_unit
 from .errors import AngleAtPi, TraceSingular
-
-ANGLE_AT_PI_TOL = 1e-12
-TRACE_SINGULAR_TOL = 1e-9
-MATRIX_ORTHO_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,9 +64,9 @@ class RotationMatrix:
             abs(a[0] * c[0] + a[1] * c[1] + a[2] * c[2]),
             abs(b[0] * c[0] + b[1] * c[1] + b[2] * c[2]),
         )
-        if max(dots) > MATRIX_ORTHO_TOL:
+        if max(dots) > RESIDUAL_TOL:
             raise ValueError("matrix rows are not orthonormal")
-        if abs(self.det() - 1.0) > MATRIX_ORTHO_TOL:
+        if abs(self.det() - 1.0) > RESIDUAL_TOL:
             raise ValueError("matrix determinant is not +1")
 
     def apply(self, r: Vec3) -> Vec3:
@@ -136,16 +133,16 @@ def gibbs_from_axis_angle(axis: UnitVec3, theta: float) -> GibbsVector:
 
     Raises AngleAtPi within 1e-12 of a half turn, where the parameter blows up.
     """
-    if abs(theta) >= math.pi - ANGLE_AT_PI_TOL:
+    if abs(theta) >= math.pi - AT_PI_CUT:
         raise AngleAtPi(f"half-tangent parameter undefined at angle {theta}")
     t = 2.0 * math.tan(theta / 2.0)
     return GibbsVector(axis.x * t, axis.y * t, axis.z * t)
 
 
 def axis_angle_from_gibbs(q: GibbsVector) -> tuple[UnitVec3, float]:
-    """Recover (unit axis, angle in [0, pi)) from q; q = 0 maps to (+z, 0)."""
+    """Recover (unit axis, angle in [0, pi)) from q; |q| <= 1e-12 maps to (+z, 0)."""
     norm = q.norm()
-    if norm == 0.0:
+    if norm <= ZERO_CUT:
         return EZ, 0.0
     theta = 2.0 * math.atan(norm / 2.0)
     return make_unit(q.as_vec3()), theta
@@ -185,7 +182,7 @@ def gibbs_from_matrix(M: RotationMatrix) -> GibbsVector:
     Raises TraceSingular when 1 + trace <= 1e-9 (half turn; q does not exist).
     """
     s = 1.0 + M.trace()
-    if s <= TRACE_SINGULAR_TOL:
+    if s <= TRACE_CUT:
         raise TraceSingular(f"1 + trace = {s}; the rotation is a half turn")
     r = M.rows
     return GibbsVector(

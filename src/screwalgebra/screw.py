@@ -15,8 +15,12 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import (
-    HALF_TURN_TIE_TOL,
-    ZERO_DIRECTION_TOL,
+    AT_PI_CUT,
+    DEGENERATE_CUT,
+    RESIDUAL_TOL,
+    RIGIDITY_TOL,
+    SCALE_FLOOR,
+    ZERO_CUT,
     AxisLine,
     Rotation,
     UnitVec3,
@@ -24,6 +28,7 @@ from .core import (
     angle_between,
     canonicalize_rotation,
     distance_between_lines,
+    _half_turn_flip,
     _unit_components,
     make_unit,
 )
@@ -47,11 +52,6 @@ from .rotation import (
     gibbs_from_axis_angle,
     rodrigues_rotate,
 )
-
-ZERO_SLIDE_TOL = 1e-12
-ZERO_ANGLE_TOL = 1e-12
-PLANE_COLLINEAR_TOL = 1e-9
-FIT_CONSISTENCY_TOL = 1e-6
 
 
 class ScrewKind(Enum):
@@ -92,17 +92,13 @@ class Screw:
         if theta < 0.0:
             direction, theta, slide = -direction, -theta, -slide
         if theta > math.pi:
-            if theta > math.pi + 1e-9:
+            if theta > math.pi + RESIDUAL_TOL:
                 raise ValueError(f"screw angle {theta} outside (0, pi]")
             theta = math.pi
         if theta == 0.0:
             raise ValueError("a zero-angle screw is the identity or a translation")
-        if abs(theta - math.pi) <= HALF_TURN_TIE_TOL:
-            for c in (direction.x, direction.y, direction.z):
-                if abs(c) > ZERO_DIRECTION_TOL:
-                    if c < 0.0:
-                        direction, slide = -direction, -slide
-                    break
+        if abs(theta - math.pi) <= AT_PI_CUT and _half_turn_flip(direction):
+            direction, slide = -direction, -slide
         s = point.dot(direction)
         foot = Vec3(
             point.x - direction.x * s,
@@ -152,7 +148,7 @@ def screw_from_displacement(D: Displacement) -> Screw:
     qx, qy, qz = D.q.m, D.q.n, D.q.p
     q2 = qx * qx + qy * qy + qz * qz
     qn = math.sqrt(q2)
-    if qn <= ZERO_DIRECTION_TOL:
+    if qn <= ZERO_CUT:
         if D.delta.norm() == 0.0:
             return Screw.identity()
         return Screw.pure_translation(D.delta)
@@ -191,7 +187,7 @@ def screw_from_fold(w: float, v: Vec3, delta: Vec3) -> Screw:
     pure translation.
     """
     theta, vec = fold_angle_axis(w, v)
-    if vec is None or theta <= ZERO_ANGLE_TOL:
+    if vec is None or theta <= ZERO_CUT:
         if delta.norm() == 0.0:
             return Screw.identity()
         return Screw.pure_translation(delta)
@@ -209,7 +205,7 @@ def displacement_from_screw(S: Screw) -> Displacement:
         return Displacement(GIBBS_ZERO, Vec3(0.0, 0.0, 0.0))
     if S.kind is ScrewKind.TRANSLATION:
         return Displacement(GIBBS_ZERO, S.translation)
-    if S.theta >= math.pi - 1e-12:
+    if S.theta >= math.pi - AT_PI_CUT:
         raise GibbsOverflow(
             "half-turn screw has no rotation vector; use the matrix form"
         )
@@ -227,7 +223,7 @@ def absolute_translation(D: Displacement) -> AbsoluteTranslation:
     returned with translation_only set, as it is for a rotation vector of
     length at most 1e-12.
     """
-    if D.q.norm() <= ZERO_DIRECTION_TOL:
+    if D.q.norm() <= ZERO_CUT:
         return AbsoluteTranslation(D.delta.norm(), True)
     direction = make_unit(D.q.as_vec3())
     return AbsoluteTranslation(D.delta.dot(direction), False)
@@ -249,7 +245,7 @@ def conjugate_pair_decompose(S: Screw, thetaB: float, psi: float) -> ConjugatePa
         raise DegenerateInput("only a general screw splits into a rotation pair")
     c_hat = S.axis.dir
     anchor = S.axis.point
-    if abs(S.slide) <= ZERO_SLIDE_TOL:
+    if abs(S.slide) <= ZERO_CUT:
         return ConjugatePair(
             Rotation(S.axis, S.theta),
             Rotation(AxisLine(anchor, c_hat), 0.0),
@@ -318,21 +314,21 @@ def euler_fixed_axis(corrA: Correspondence, corrB: Correspondence) -> AxisLine:
     if scale <= 0.0:
         raise DegenerateInput("all points at the origin")
     for before, after in ((A, Ap), (B, Bp)):
-        if abs(before.norm() - after.norm()) > FIT_CONSISTENCY_TOL * scale:
+        if abs(before.norm() - after.norm()) > RIGIDITY_TOL * scale:
             raise DegenerateInput("distances to the origin are not preserved")
-    if abs((A - B).norm() - (Ap - Bp).norm()) > FIT_CONSISTENCY_TOL * scale:
+    if abs((A - B).norm() - (Ap - Bp).norm()) > RIGIDITY_TOL * scale:
         raise DegenerateInput("distance between the points is not preserved")
-    if A.cross(B).norm() <= PLANE_COLLINEAR_TOL * scale * scale:
+    if A.cross(B).norm() <= DEGENERATE_CUT * scale * scale:
         raise DegenerateInput("base points are collinear with the origin")
-    if (Ap - A).norm() <= 1e-12 * scale and (Bp - B).norm() <= 1e-12 * scale:
+    if (Ap - A).norm() <= ZERO_CUT * scale and (Bp - B).norm() <= ZERO_CUT * scale:
         raise DegenerateInput("identity motion has no unique axis")
 
     normal = (Ap - A).cross(Bp - B)
-    if normal.norm() > PLANE_COLLINEAR_TOL * scale * scale:
+    if normal.norm() > DEGENERATE_CUT * scale * scale:
         direction = make_unit(normal)
     else:
         meet = A.cross(B).cross(Ap.cross(Bp))
-        if meet.norm() <= PLANE_COLLINEAR_TOL * scale**4:
+        if meet.norm() <= DEGENERATE_CUT * scale**4:
             raise DegenerateInput(
                 "chords parallel and planes coincide; axis not determined"
             )
@@ -340,12 +336,12 @@ def euler_fixed_axis(corrA: Correspondence, corrB: Correspondence) -> AxisLine:
 
     flat_a = A - direction * A.dot(direction)
     flat_ap = Ap - direction * Ap.dot(direction)
-    if flat_a.norm() > PLANE_COLLINEAR_TOL * scale:
+    if flat_a.norm() > DEGENERATE_CUT * scale:
         u, v = flat_a, flat_ap
     else:
         u = B - direction * B.dot(direction)
         v = Bp - direction * Bp.dot(direction)
-        if u.norm() <= PLANE_COLLINEAR_TOL * scale:
+        if u.norm() <= DEGENERATE_CUT * scale:
             raise DegenerateInput("both points lie on the axis")
     angle = math.atan2(u.cross(v).dot(direction), u.dot(v))
     if angle < 0.0:
@@ -354,7 +350,7 @@ def euler_fixed_axis(corrA: Correspondence, corrB: Correspondence) -> AxisLine:
     for before, after in ((A, Ap), (B, Bp)):
         if (
             rodrigues_rotate(direction, angle, before) - after
-        ).norm() > FIT_CONSISTENCY_TOL * scale:
+        ).norm() > RIGIDITY_TOL * scale:
             raise DegenerateInput(
                 "no rotation about the origin carries both points as given"
             )
@@ -379,20 +375,20 @@ def levy_central_axis(
     """
     A, Ap = corrA.before, corrA.after
     B, Bp = corrB.before, corrB.after
-    scale = max(A.norm(), B.norm(), Ap.norm(), Bp.norm(), 1e-30)
+    scale = max(A.norm(), B.norm(), Ap.norm(), Bp.norm(), SCALE_FLOOR)
     chord_a = Ap - A
     chord_b = Bp - B
     n_a = chord_a - dir * chord_a.dot(dir)
     n_b = chord_b - dir * chord_b.dot(dir)
     if (
-        n_a.norm() <= PLANE_COLLINEAR_TOL * scale
-        or n_b.norm() <= PLANE_COLLINEAR_TOL * scale
+        n_a.norm() <= DEGENERATE_CUT * scale
+        or n_b.norm() <= DEGENERATE_CUT * scale
     ):
         raise ParallelPlanes("a chord is parallel to the axis direction")
     mid_a = (A + Ap) * 0.5
     mid_b = (B + Bp) * 0.5
 
-    if make_unit(n_a).cross(make_unit(n_b)).norm() > PLANE_COLLINEAR_TOL:
+    if make_unit(n_a).cross(make_unit(n_b)).norm() > DEGENERATE_CUT:
         # Cramer's rule on the rows n_a, n_b, dir with right side
         # (n_a . mid_a, n_b . mid_b, 0): the solution is
         # (h_a (n_b x dir) + h_b (dir x n_a)) / (n_a . (n_b x dir)).
@@ -400,7 +396,7 @@ def levy_central_axis(
         point = (nb_dir * n_a.dot(mid_a) + dir.cross(n_a) * n_b.dot(mid_b)) / n_a.dot(nb_dir)
         return AxisLine(point, dir)
 
-    if abs(make_unit(n_a).dot(mid_b - mid_a)) > PLANE_COLLINEAR_TOL * scale:
+    if abs(make_unit(n_a).dot(mid_b - mid_a)) > DEGENERATE_CUT * scale:
         raise ParallelPlanes("the two construction planes are parallel and distinct")
 
     # Coincident planes: both chords turn inside one plane through the axis.
@@ -421,10 +417,10 @@ def levy_central_axis(
     bpx, bpy = flat(Bp)
     rx, ry = bx - ax, by - ay
     rpx, rpy = bpx - apx, bpy - apy
-    if math.hypot(rx, ry) <= PLANE_COLLINEAR_TOL * scale:
+    if math.hypot(rx, ry) <= DEGENERATE_CUT * scale:
         raise ParallelPlanes("the two tracked points project to one point")
     theta = math.atan2(rx * rpy - ry * rpx, rx * rpx + ry * rpy)
-    if abs(theta) <= 1e-12:
+    if abs(theta) <= ZERO_CUT:
         raise ParallelPlanes("no in-plane turning; axis not determined")
     c, s = math.cos(theta), math.sin(theta)
     # (I - R(theta)) center = after - R(theta) before

@@ -142,6 +142,20 @@ class TestCompose:
         assert code == 2
         assert report["error.line"] == "2"
 
+    @pytest.mark.parametrize(
+        "record",
+        ["rot 0 0 0 0 0 0 90", "rot 0 0 1 0 0 0 nan", "trans inf 0 0"],
+        ids=["zero-axis", "nan-angle", "inf-translation"],
+    )
+    def test_unusable_record_is_a_parse_error(self, record, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        src.write_text(f"rot 0 0 1 0 0 0 90\n{record}\n")
+        for command in ("compose", "decompose"):
+            code, report = run_cli(capsys, command, str(src))
+            assert code == 2
+            assert report["error"] == "parse"
+            assert report["error.line"] == "2"
+
     @pytest.mark.parametrize("text", HALF_TURN_FILES.values(), ids=HALF_TURN_FILES.keys())
     def test_half_turn_overflows_but_screw_is_printed(self, text, tmp_path, capsys):
         src = tmp_path / "m.txt"
@@ -298,6 +312,35 @@ class TestFit:
         code, report = run_cli(capsys, "fit", str(src))
         assert code == 2
         assert report["error.line"] == "2"
+
+    def test_non_finite_row_reports_line(self, tmp_path, capsys):
+        src = tmp_path / "points.csv"
+        src.write_text("0,0,0,0,0,1\n1,0,nan,0,1,1\n0,1,0,-1,0,1\n")
+        code, report = run_cli(capsys, "fit", str(src))
+        assert code == 2
+        assert report["error"] == "parse"
+        assert report["error.line"] == "2"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # The base differences overflow: fit_displacement raises.
+            "1e200,-1e200,1e200,1e200,-1e200,1e200\n"
+            "-1e200,1e200,1e200,-1e200,1e200,1e200\n"
+            "1e200,1e200,-1e200,1e200,1e200,-1e200\n",
+            # Only a pairwise distance of the last two rows overflows: check_rigidity raises.
+            "0,0,0,0,0,0\n1,0,0,1,0,0\n0,1,0,0,1,0\n"
+            "0,0,1e200,0,0,1e200\n0,0,-1e200,0,0,-1e200\n",
+        ],
+        ids=["fit", "rigidity"],
+    )
+    def test_overflowing_coordinates_exit_2(self, rows, tmp_path, capsys):
+        src = tmp_path / "points.csv"
+        src.write_text(rows)
+        code, report = run_cli(capsys, "fit", str(src))
+        assert code == 2
+        assert report["error"] == "range"
+        assert "non-finite" in report["error.message"]
 
 
 class TestCheck:

@@ -37,6 +37,12 @@ class TestGibbsAxisAngle:
         back = gibbs_from_axis_angle(axis, theta)
         assert mnp(back) == pytest.approx((2.0, 0.0, 0.0), abs=1e-12)
 
+    @pytest.mark.parametrize("q", [GibbsVector(0.0, 0.0, 0.0), GibbsVector(1e-13, 0.0, 0.0)])
+    def test_rounding_size_vector_is_no_rotation(self, q):
+        # |q| <= 1e-12 is the zero rule of screw_from_displacement as well.
+        axis, theta = axis_angle_from_gibbs(q)
+        assert (xyz(axis), theta) == ((0.0, 0.0, 1.0), 0.0)
+
     def test_magnitude_is_twice_half_tangent(self):
         q = gibbs_from_axis_angle(make_unit(Vec3(0, 0, 1)), 2.0)
         assert q.norm() == pytest.approx(2.0 * math.tan(1.0), abs=1e-12)

@@ -1,0 +1,91 @@
+"""The threshold table in core and the one half-turn tie-break."""
+
+from __future__ import annotations
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+import screwalgebra
+from screwalgebra import (
+    AxisLine,
+    Rotation,
+    Vec3,
+    canonicalize_rotation,
+    fold_angle_axis,
+    make_unit,
+    screw_from_fold,
+)
+from screwalgebra.core import ZERO
+
+PACKAGE = Path(screwalgebra.__file__).parent
+
+# Every threshold these modules apply is a name from core's table. oracle keeps
+# its own, so that it stays independent, and checks keeps its per-check bounds.
+TABLE_READERS = ("compose", "screw", "rotation", "pointfit", "infinitesimal", "cli")
+
+
+def _small_floats(node: ast.AST) -> list[ast.Constant]:
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Constant)
+        and type(n.value) is float
+        and 0.0 < abs(n.value) < 1e-5
+    ]
+
+
+@pytest.mark.parametrize("module", TABLE_READERS)
+def test_no_threshold_literal_outside_the_table(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = [(n.lineno, n.value) for n in _small_floats(tree)]
+    assert found == []
+
+
+def test_core_holds_threshold_literals_only_in_its_table():
+    source = (PACKAGE / "core.py").read_text()
+    tree = ast.parse(source)
+    table = [
+        stmt
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+    ]
+    in_table = {id(stmt.value) for stmt in table}
+    stray = [(n.lineno, n.value) for n in _small_floats(tree) if id(n) not in in_table]
+    assert stray == []
+    lines = source.splitlines()
+    # Each entry states on its own line why it has its value.
+    for stmt in table:
+        if _small_floats(stmt):
+            assert "#" in lines[stmt.lineno - 1], stmt.targets[0].id
+
+
+# (axis direction, whether the half turn keeps it) for the shared rule: the first
+# component larger than 1e-12 in size is positive.
+HALF_TURN_AXES = [
+    ((1.0, 0.0, 0.0), True),
+    ((-1.0, 0.0, 0.0), False),
+    ((0.0, -1.0, 0.0), False),
+    ((0.0, 0.0, -1.0), False),
+    ((-0.6, 0.8, 0.0), False),
+    ((0.0, -0.6, 0.8), False),
+    ((2.0, -1.0, 2.0), True),
+    ((-1e-13, 1.0, 0.0), True),
+    ((1e-13, -1.0, 0.0), False),
+    ((-1e-13, -1e-13, -1.0), False),
+    ((1e-13, 1e-13, 1.0), True),
+]
+
+
+@pytest.mark.parametrize("direction, kept", HALF_TURN_AXES, ids=str)
+def test_half_turn_callers_pick_one_direction(direction, kept):
+    axis = make_unit(Vec3(*direction))
+    expected = axis if kept else -axis
+    canon = canonicalize_rotation(Rotation(AxisLine(ZERO, axis), math.pi))
+    theta, folded = fold_angle_axis(0.0, axis)
+    screw = screw_from_fold(0.0, axis, ZERO)
+    assert canon.angle == theta == screw.theta == math.pi
+    for picked in (canon.line.dir, folded, screw.axis.dir):
+        assert picked.dot(expected) > 0.0
