@@ -274,20 +274,24 @@ def _failure(kind: str, message: object, code: int) -> int:
 
 def _motion_screw(args) -> int | tuple[Screw, Vec3 | None, Vec3]:
     """(screw, q, delta) of the motion file, or the exit code of a reported
-    parse or I/O failure. q is None for a half turn, which has no rotation
-    vector; its screw then comes from the Euler-Rodrigues fold."""
+    parse, I/O or range failure. q is None for a half turn, which has no
+    rotation vector; its screw then comes from the Euler-Rodrigues fold."""
     try:
         records = parse_motion_file(_read_text(args.file))
     except ParseError as exc:
         return _parse_failure(exc)
     except OSError as exc:
         return _failure("io", exc, EXIT_PARSE)
+    # ValueError: a sum or product of finite numbers overflows.
     try:
-        D = build_displacement(records, args.radians)
-    except (AngleAtPi, ResultantHalfTurn):
-        w, v, delta = build_fold(records, args.radians)
-        return screw_from_fold(w, v, delta), None, delta
-    return screw_from_displacement(D), D.q.as_vec3(), D.delta
+        try:
+            D = build_displacement(records, args.radians)
+        except (AngleAtPi, ResultantHalfTurn):
+            w, v, delta = build_fold(records, args.radians)
+            return screw_from_fold(w, v, delta), None, delta
+        return screw_from_displacement(D), D.q.as_vec3(), D.delta
+    except ValueError as exc:
+        return _failure("range", exc, EXIT_PARSE)
 
 
 def cmd_compose(args) -> int:
@@ -331,6 +335,8 @@ def cmd_decompose(args) -> int:
         _emit("degenerate", "true")
         _emit("degenerate.reason", str(exc))
         return EXIT_DEGENERATE
+    except ValueError as exc:
+        return _failure("range", exc, EXIT_PARSE)
     if pair.degenerate:
         _emit("degenerate", "true")
         _emit(

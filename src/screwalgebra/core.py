@@ -23,6 +23,7 @@ CHORD_TOL = 1e-10  # relative chord residual that rounding of an exact fit stays
 RIGIDITY_TOL = 1e-6  # set by measurement noise: relative distance change still rigid
 MIN_COUPLE_ANGLE = 1e-6  # below it a couple's axes sit over 1e6 |t| apart
 SCALE_FLOOR = 1e-30  # below any real data scale: acts only when every point is at 0
+UNDERFLOW_CUT = 1e-150  # squares to 1e-300, near 2.2e-308, below which squares lose bits
 
 
 @dataclass(frozen=True, slots=True)

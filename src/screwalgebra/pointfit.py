@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import CHORD_TOL, DEGENERATE_CUT, RIGIDITY_TOL, Vec3, _unit_components
+from .core import CHORD_TOL, DEGENERATE_CUT, RIGIDITY_TOL, UNDERFLOW_CUT, Vec3, _unit_components
 from .errors import CollinearPoints, CoplanarPoints, NonRigidData, TooFewPoints
 from .rotation import Displacement, GibbsVector, RotationMatrix, gibbs_from_matrix
 
@@ -33,14 +33,20 @@ class RigidityReport(NamedTuple):
 
 
 def _pair_distances(points: Sequence[Vec3]) -> list[float]:
-    """|p_i - p_j| for every pair i < j, in row order."""
+    """|p_i - p_j| for every pair i < j, in row order.
+
+    A distance under 1e-150 is taken again by hypot, whose squares of the
+    differences cannot underflow.
+    """
     out = []
     for i, p in enumerate(points):
         px, py, pz = p.x, p.y, p.z
         for r in points[i + 1 :]:
             dx, dy, dz = px - r.x, py - r.y, pz - r.z
             d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if not d < math.inf:
+            if d < UNDERFLOW_CUT:
+                d = math.hypot(dx, dy, dz)
+            elif not d < math.inf:
                 p - r  # an overflowed difference raises, as Vec3 arithmetic does
             out.append(d)
     return out
@@ -53,7 +59,7 @@ def _distance_change(
 
     ``before`` holds the before-distances in _pair_distances order. Returns
     None as soon as one pair changes by more than ``limit``; the pairs after
-    it are not evaluated.
+    it are not evaluated. Short distances are taken as in _pair_distances.
     """
     worst = 0.0
     k = 0
@@ -64,7 +70,9 @@ def _distance_change(
             b = other.after
             dx, dy, dz = ax - b.x, ay - b.y, az - b.z
             d1 = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if not d1 < math.inf:
+            if d1 < UNDERFLOW_CUT:
+                d1 = math.hypot(dx, dy, dz)
+            elif not d1 < math.inf:
                 a - b  # an overflowed difference raises, as Vec3 arithmetic does
             change = abs(d1 - before[k])
             k += 1

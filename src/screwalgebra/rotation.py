@@ -215,8 +215,11 @@ def midpoint_of(D: Displacement, r: Vec3) -> Vec3:
 def displacement_of_rotation(line_point: Vec3, axis: UnitVec3, theta: float) -> Displacement:
     """Displacement of a pure rotation about the line through line_point.
 
-    Raises AngleAtPi for |theta| within 1e-12 of a half turn (no q exists).
+    theta is first reduced into [-pi, pi] (exact for |theta| <= pi, so such
+    an angle keeps its bits). Raises AngleAtPi when the reduced angle is
+    within 1e-12 of a half turn (no q exists).
     """
+    theta = math.remainder(theta, 2.0 * math.pi)
     q = gibbs_from_axis_angle(axis, theta)
     delta = line_point - rodrigues_rotate(axis, theta, line_point)
     return Displacement(q, delta)

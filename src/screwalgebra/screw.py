@@ -199,7 +199,8 @@ def displacement_from_screw(S: Screw) -> Displacement:
     """Rebuild the displacement: rotate about the axis, then slide along it.
 
     Raises GibbsOverflow for a half-turn screw, which has no rotation
-    vector.
+    vector; screw_from_fold takes such a motion from its Euler-Rodrigues
+    parameters.
     """
     if S.kind is ScrewKind.IDENTITY:
         return Displacement(GIBBS_ZERO, Vec3(0.0, 0.0, 0.0))
@@ -207,7 +208,7 @@ def displacement_from_screw(S: Screw) -> Displacement:
         return Displacement(GIBBS_ZERO, S.translation)
     if S.theta >= math.pi - AT_PI_CUT:
         raise GibbsOverflow(
-            "half-turn screw has no rotation vector; use the matrix form"
+            "half-turn screw has no rotation vector; use screw_from_fold"
         )
     q = gibbs_from_axis_angle(S.axis.dir, S.theta)
     turned = rodrigues_rotate(S.axis.dir, S.theta, S.axis.point)

@@ -171,6 +171,32 @@ class TestCompose:
                 del report["delta"]
             assert_screw_report(report, expected)
 
+    def test_angle_past_a_half_turn_is_reduced(self, tmp_path, capsys):
+        reports = []
+        for angle in ("270", "-90"):
+            src = tmp_path / "m.txt"
+            src.write_text(f"rot 0 0 1 0 0 0 {angle}\n")
+            assert main(["compose", str(src)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("compose", "trans 1e308 0 0\ntrans 1e308 0 0\n"),
+            ("compose", "rot 0 0 1 1e308 1e308 0 90\n"),
+            # Only the couple that carries the 1e300 slide overflows.
+            ("decompose", "rot 1 1 1 0 0 0 30\ntrans 1e300 0 0\n"),
+        ],
+        ids=["fold-sum", "axis-point", "couple"],
+    )
+    def test_overflowing_numbers_exit_2(self, command, text, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        src.write_text(text)
+        code, report = run_cli(capsys, command, str(src))
+        assert code == 2
+        assert report["error"] == "range"
+
     def test_radians_flag(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         src.write_text(f"rot 0 0 1 0 0 0 {math.pi / 2}\ntrans 0 0 2\n")

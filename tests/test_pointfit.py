@@ -212,12 +212,14 @@ CASES = {
         ValueError,
         ValueError,
     ),
+    # Squared differences underflow; the distances are taken by hypot. The
+    # fit's cross product of two edges still underflows to zero.
     "tiny": (
         _same(
             [(TINY, -TINY, TINY), (-TINY, TINY, TINY), (TINY, TINY, -TINY), (-TINY, -TINY, -TINY)]
         ),
         CollinearPoints,
-        CoplanarPoints,
+        RigidityReport,
     ),
     "coincident": (_same([(1.0, 2.0, 3.0)] * 4), CollinearPoints, CoplanarPoints),
     "collinear": (
@@ -295,7 +297,7 @@ def test_overflow_reports_the_non_finite_component():
 
 @pytest.mark.parametrize(
     "name, rigid",
-    [("tiny", False), ("coincident", False), ("collinear", True), ("coplanar", True)],
+    [("coincident", False), ("collinear", True), ("coplanar", True)],
 )
 def test_coplanar_carries_the_rigid_verdict(name, rigid):
     with pytest.raises(CoplanarPoints) as info:
@@ -307,6 +309,7 @@ def test_rigidity_verdicts_of_the_regular_cases():
     assert check_rigidity(CASES["short-edge"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["half-turn"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["wide"][0]) == RigidityReport(rigid=True, proper=True)
+    assert check_rigidity(CASES["tiny"][0]) == RigidityReport(rigid=True, proper=True)
 
 
 def test_half_turn_message():
