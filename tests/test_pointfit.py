@@ -309,6 +309,11 @@ def test_rigidity_verdicts_of_the_regular_cases():
     assert check_rigidity(CASES["short-edge"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["half-turn"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["wide"][0]) == RigidityReport(rigid=True, proper=True)
+
+
+def test_tiny_tetrahedron_is_rigid_not_coplanar():
+    # Every pairwise distance of the 1e-200 tetrahedron underflows when squared;
+    # taken again by hypot, it keeps its volume and its verdict.
     assert check_rigidity(CASES["tiny"][0]) == RigidityReport(rigid=True, proper=True)
 
 
