@@ -6,10 +6,10 @@ displacement from tracked points), ``check`` (run the seeded invariant
 suite). Output is line-oriented ``key=value`` with 12 significant digits so
 scripts can scrape it without a structured-format dependency.
 
-Exit codes: 0 ok, 1 check failure, 2 parse error, 3 half-turn overflow of
-the rational rotation vector (compose and decompose still print the screw,
-from the Euler-Rodrigues fold), 4 degenerate decomposition, 5 non-rigid
-data, 6 collinear points.
+Exit codes: 0 ok, 1 check failure, 2 parse error, 3 the composite motion
+is a half turn and has no rotation vector (compose and decompose still print
+its screw; fit prints none), 4 degenerate decomposition, 5 non-rigid data,
+6 collinear points.
 """
 
 from __future__ import annotations
@@ -23,15 +23,14 @@ from typing import Sequence, Union
 
 from .checks import TOL_REFERENCE, run_all
 from .compose import compose_displacements
-from .core import ZERO, ZERO_CUT, Vec3, make_unit
+from .core import ZERO_CUT, Vec3, make_unit
 from .errors import (
-    AngleAtPi,
     CollinearPoints,
     CoplanarPoints,
     DegenerateInput,
+    GibbsOverflow,
     NonRigidData,
     ParseError,
-    ResultantHalfTurn,
     TraceSingular,
     ZeroVector,
 )
@@ -43,19 +42,13 @@ from .oracle import (
     hom_from_translation,
 )
 from .pointfit import Correspondence, check_rigidity, fit_displacement
-from .rotation import (
-    Displacement,
-    GIBBS_ZERO,
-    displacement_of_rotation,
-    rodrigues_rotate,
-)
+from .rotation import Displacement, GIBBS_ZERO, displacement_of_rotation
 from .screw import (
     Screw,
     ScrewKind,
     conjugate_invariant,
     conjugate_pair_decompose,
     screw_from_displacement,
-    screw_from_fold,
 )
 
 EXIT_OK = 0
@@ -182,31 +175,14 @@ def _record_hom(rec: MotionRecord, radians: bool) -> HomTransform:
 
 
 def build_displacement(records: Sequence[MotionRecord], radians: bool) -> Displacement:
-    """Fold the records, first record applied first, through the rational form."""
+    """Fold the records, first record applied first; a half-turn composite
+    comes back in half-turn form."""
     acc: Displacement | None = None
     for rec in records:
         step = _record_displacement(rec, radians)
         acc = step if acc is None else compose_displacements(acc, step)
     assert acc is not None
     return acc
-
-
-def build_fold(records: Sequence[MotionRecord], radians: bool) -> tuple[float, Vec3, Vec3]:
-    """Fold the records, first record applied first, in Euler-Rodrigues form:
-    (cos(Theta/2), sin(Theta/2) axis, image of the origin), a half turn included."""
-    w, v, delta = 1.0, ZERO, ZERO
-    for rec in records:
-        if isinstance(rec, TransRecord):
-            delta = delta + Vec3(rec.tx, rec.ty, rec.tz)
-            continue
-        axis = make_unit(Vec3(rec.dx, rec.dy, rec.dz))
-        point = Vec3(rec.px, rec.py, rec.pz)
-        theta = _to_radians(rec.angle, radians)
-        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-        # Quaternion product (c, s axis)(w, v): this record after the fold so far.
-        w, v = c * w - s * axis.dot(v), v * c + axis * (s * w) + axis.cross(v) * s
-        delta = point + rodrigues_rotate(axis, theta, delta - point)
-    return w, v, delta
 
 
 def build_hom(records: Sequence[MotionRecord], radians: bool) -> HomTransform:
@@ -275,23 +251,22 @@ def _failure(kind: str, message: object, code: int) -> int:
 def _motion_screw(args) -> int | tuple[Screw, Vec3 | None, Vec3]:
     """(screw, q, delta) of the motion file, or the exit code of a reported
     parse, I/O or range failure. q is None for a half turn, which has no
-    rotation vector; its screw then comes from the Euler-Rodrigues fold."""
+    rotation vector."""
     try:
         records = parse_motion_file(_read_text(args.file))
     except ParseError as exc:
         return _parse_failure(exc)
     except OSError as exc:
         return _failure("io", exc, EXIT_PARSE)
-    # ValueError: a sum or product of finite numbers overflows.
     try:
-        try:
-            D = build_displacement(records, args.radians)
-        except (AngleAtPi, ResultantHalfTurn):
-            w, v, delta = build_fold(records, args.radians)
-            return screw_from_fold(w, v, delta), None, delta
-        return screw_from_displacement(D), D.q.as_vec3(), D.delta
-    except ValueError as exc:
+        D = build_displacement(records, args.radians)
+        screw = screw_from_displacement(D)
+        q = D.q.as_vec3()
+    except GibbsOverflow:
+        q = None
+    except ValueError as exc:  # a sum or product of finite numbers overflows
         return _failure("range", exc, EXIT_PARSE)
+    return screw, q, D.delta
 
 
 def cmd_compose(args) -> int:

@@ -183,14 +183,22 @@ def sine_proportionality(theta1: float, theta2: float, nu: float) -> SineRatios:
 def compose_displacements(D1: Displacement, D2: Displacement) -> Displacement:
     """Displacement "do D1, then D2".
 
-    The rotation vectors fold rationally; the new origin displacement is the
-    image of D1.delta under D2. Raises ResultantHalfTurn (from compose_gibbs)
-    when the composite is a half turn, which has no rotation vector;
-    screw.screw_from_fold takes the screw of such a motion from its
-    Euler-Rodrigues parameters.
+    The rotation parameters fold by the four-parameter product of Rodrigues'
+    memoir, (w2 w1 - v2.v1, w2 v1 + w1 v2 + v2 x v1); at w1 = w2 = 1 its
+    ratio is compose_gibbs's. The product is in half-turn form when its w is
+    below 1e-12 in size, where compose_gibbs raises. The new origin
+    displacement is the image of D1.delta under D2.
     """
-    q = compose_gibbs(D1.q, D2.q)
-    return Displacement(q, apply_displacement(D2, D1.delta))
+    w1, a = D1.w, D1.v
+    w2, b = D2.w, D2.v
+    ax, ay, az, bx, by, bz = a.x, a.y, a.z, b.x, b.y, b.z
+    w = w1 * w2 - (ax * bx + ay * by + az * bz)
+    v = Vec3(
+        (w2 * ax + w1 * bx) + (by * az - bz * ay),
+        (w2 * ay + w1 * by) + (bz * ax - bx * az),
+        (w2 * az + w1 * bz) + (bx * ay - by * ax),
+    )
+    return Displacement(w=w, v=v, delta=apply_displacement(D2, D1.delta))
 
 
 def _closest_points(

@@ -99,11 +99,13 @@ class UnitVec3(Vec3):
 def make_unit(v: Vec3) -> UnitVec3:
     """Normalize v to unit length.
 
-    Raises ZeroVector when |v| <= 1e-12.
+    Raises ZeroVector when |v| <= 1e-12 and ValueError when |v| overflows.
     """
     n = v.norm()
     if n <= ZERO_CUT:
         raise ZeroVector(f"cannot normalize near-zero vector {v.as_tuple()}")
+    if n == math.inf:
+        raise ValueError(f"non-finite component: the length of {v.as_tuple()} overflows")
     return UnitVec3(v.x / n, v.y / n, v.z / n)
 
 

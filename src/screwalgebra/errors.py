@@ -22,15 +22,14 @@ class TraceSingular(ScrewAlgebraError):
 
 
 class ResultantHalfTurn(ScrewAlgebraError):
-    """The composed rotation is a half turn and has no rotation vector.
+    """compose_gibbs: the composed rotation is a half turn and has no rotation vector.
 
-    Its Euler-Rodrigues parameters (cos(theta/2), sin(theta/2) axis) stay
-    finite; screw.screw_from_fold takes the screw from them.
+    compose_displacements keeps such a composite, in half-turn form.
     """
 
 
 class GibbsOverflow(ScrewAlgebraError):
-    """A half-turn screw cannot be expressed through the rational parameter."""
+    """A displacement in half-turn form has no rotation vector q (Displacement.q)."""
 
 
 class IntersectingAxes(ScrewAlgebraError):

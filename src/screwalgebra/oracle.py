@@ -3,7 +3,9 @@
 Everything here is built directly from cosines and sines and from generic
 linear algebra (SVD, least squares) — deliberately none of the rational
 half-tangent formulas of the main modules — so its failure modes are
-independent of theirs. It shares only the plain value containers.
+independent of theirs. It shares only the plain value containers. The one
+fit here, gibbs_by_midpoint_elimination, solves the chord equations by
+least squares where pointfit builds frames.
 It only verifies: no library or command-line answer is computed by it.
 """
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 from .core import AxisLine, UnitVec3, Vec3, make_unit
 from .errors import TraceSingular
+from .pointfit import Correspondence
 from .rotation import Displacement, GibbsVector, RotationMatrix
 from .screw import Screw
 
@@ -160,4 +163,41 @@ def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
         direction,
         theta,
         slide,
+    )
+
+
+def gibbs_by_midpoint_elimination(
+    c0: Correspondence, c1: Correspondence, c2: Correspondence
+) -> Displacement:
+    """Alternative fit: solve the chord-difference equations for q directly.
+
+    The six linear equations chord_i - chord_0 = q x (mid_i - mid_0)
+    (i = 1, 2) are solved for q by least squares; the translation follows by
+    solving delta - (1/2) q x delta = chord - q x mid for delta. Used as an
+    independent cross-check of fit_displacement.
+    """
+    import numpy as np
+
+    corrs = (c0, c1, c2)
+    chord0 = corrs[0].after - corrs[0].before
+    mid0 = (corrs[0].after + corrs[0].before) * 0.5
+    rows = []
+    rhs = []
+    for c in corrs[1:]:
+        chord = c.after - c.before
+        mid = (c.after + c.before) * 0.5
+        w = mid - mid0
+        rows += [[0.0, w.z, -w.y], [-w.z, 0.0, w.x], [w.y, -w.x, 0.0]]
+        d = chord - chord0
+        rhs.extend([d.x, d.y, d.z])
+    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    q = Vec3(float(sol[0]), float(sol[1]), float(sol[2]))
+
+    gamma = chord0 - q.cross(mid0)
+    A = np.array(
+        [[1.0, q.z / 2.0, -q.y / 2.0], [-q.z / 2.0, 1.0, q.x / 2.0], [q.y / 2.0, -q.x / 2.0, 1.0]]
+    )
+    d = np.linalg.solve(A, np.array([gamma.x, gamma.y, gamma.z]))
+    return Displacement(
+        GibbsVector(q.x, q.y, q.z), Vec3(float(d[0]), float(d[1]), float(d[2]))
     )

@@ -83,13 +83,17 @@ def _distance_change(
     return worst
 
 
-def _frame(p0: Vec3, p1: Vec3, p2: Vec3) -> tuple[float, ...]:
+def _frame(p0: Vec3, p1: Vec3, p2: Vec3, unit: float) -> tuple[float, ...]:
     """Right-handed orthonormal frame built on a triangle by Gram-Schmidt.
 
-    Returns the axes e1, e2, e3 as nine floats.
+    The edges are first multiplied by unit, a power of two, which changes no
+    bit of the frame but measures the short-edge cut in that unit. Returns
+    the axes e1, e2, e3 as nine floats.
     """
-    x1, y1, z1 = _unit_components(p1.x - p0.x, p1.y - p0.y, p1.z - p0.z)
-    rx, ry, rz = p2.x - p0.x, p2.y - p0.y, p2.z - p0.z
+    x1, y1, z1 = _unit_components(
+        (p1.x - p0.x) * unit, (p1.y - p0.y) * unit, (p1.z - p0.z) * unit
+    )
+    rx, ry, rz = (p2.x - p0.x) * unit, (p2.y - p0.y) * unit, (p2.z - p0.z) * unit
     s = x1 * rx + y1 * ry + z1 * rz
     x2, y2, z2 = _unit_components(rx - x1 * s, ry - y1 * s, rz - z1 * s)
     s = x1 * x2 + y1 * y2 + z1 * z2
@@ -109,7 +113,7 @@ def fit_displacement(
     Builds orthonormal frames on the triangle in both poses and converts the
     frame-to-frame map into the rotation vector; the translation part is the
     image displacement of the origin. The independently solved chord
-    equations (see gibbs_by_midpoint_elimination) are evaluated as a
+    equations (see oracle.gibbs_by_midpoint_elimination) are evaluated as a
     consistency check on every call.
 
     Raises CollinearPoints for a degenerate triangle and NonRigidData when
@@ -122,13 +126,16 @@ def fit_displacement(
     scale = max(dist)
     if scale <= 0.0:
         raise CollinearPoints("the three base points coincide")
-    ux, uy, uz = b1.x - b0.x, b1.y - b0.y, b1.z - b0.z
-    vx, vy, vz = b2.x - b0.x, b2.y - b0.y, b2.z - b0.z
+    # Edges in units of 2^e with scale = m 2^e, 1/2 <= m < 1: exact, and the
+    # area below cannot underflow however small the spread.
+    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    ux, uy, uz = (b1.x - b0.x) * unit, (b1.y - b0.y) * unit, (b1.z - b0.z) * unit
+    vx, vy, vz = (b2.x - b0.x) * unit, (b2.y - b0.y) * unit, (b2.z - b0.z) * unit
     nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
     area2 = math.sqrt(nx * nx + ny * ny + nz * nz)
     if not area2 < math.inf:
         Vec3(nx, ny, nz)  # an overflowed cross product raises, as in Vec3.cross
-    if area2 <= DEGENERATE_CUT * scale * scale:
+    if area2 <= DEGENERATE_CUT * (scale * unit) * (scale * unit):
         raise CollinearPoints("base points are collinear; no frame exists")
     # scale is the largest before-distance, so each pair's tolerance
     # RIGIDITY_TOL * max(distance, scale) is RIGIDITY_TOL * scale.
@@ -136,8 +143,8 @@ def fit_displacement(
     if change is None:
         raise NonRigidData("pairwise distances are not preserved")
 
-    e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = _frame(b0, b1, b2)
-    f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z = _frame(c0.after, c1.after, c2.after)
+    e1x, e1y, e1z, e2x, e2y, e2z, e3x, e3y, e3z = _frame(b0, b1, b2, unit)
+    f1x, f1y, f1z, f2x, f2y, f2z, f3x, f3y, f3z = _frame(c0.after, c1.after, c2.after, unit)
     # M = f1 e1^T + f2 e2^T + f3 e3^T carries the before frame onto the after frame.
     rows = (
         (
@@ -207,53 +214,6 @@ def _verify_chord_equations(
             raise NonRigidData(
                 f"chord equations disagree with the frame fit by {resid:.3e}"
             )
-
-
-def gibbs_by_midpoint_elimination(
-    c0: Correspondence, c1: Correspondence, c2: Correspondence
-) -> Displacement:
-    """Alternative fit: solve the chord-difference equations for q directly.
-
-    The six linear equations chord_i - chord_0 = q x (mid_i - mid_0)
-    (i = 1, 2) are solved for q by least squares; the translation follows by
-    solving delta - (1/2) q x delta = chord - q x mid for delta. Used as an
-    independent cross-check of fit_displacement.
-    """
-    import numpy as np
-
-    corrs = (c0, c1, c2)
-    chord0 = corrs[0].after - corrs[0].before
-    mid0 = (corrs[0].after + corrs[0].before) * 0.5
-    rows = []
-    rhs = []
-    for c in corrs[1:]:
-        chord = c.after - c.before
-        mid = (c.after + c.before) * 0.5
-        w = mid - mid0
-        rows.extend(
-            [
-                [0.0, w.z, -w.y],
-                [-w.z, 0.0, w.x],
-                [w.y, -w.x, 0.0],
-            ]
-        )
-        d = chord - chord0
-        rhs.extend([d.x, d.y, d.z])
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    q = Vec3(float(sol[0]), float(sol[1]), float(sol[2]))
-
-    gamma = chord0 - q.cross(mid0)
-    A = np.array(
-        [
-            [1.0, q.z / 2.0, -q.y / 2.0],
-            [-q.z / 2.0, 1.0, q.x / 2.0],
-            [q.y / 2.0, -q.x / 2.0, 1.0],
-        ]
-    )
-    d = np.linalg.solve(A, np.array([gamma.x, gamma.y, gamma.z]))
-    return Displacement(
-        GibbsVector(q.x, q.y, q.z), Vec3(float(d[0]), float(d[1]), float(d[2]))
-    )
 
 
 def _signed_volume(p0: Vec3, p1: Vec3, p2: Vec3, p3: Vec3, scale: float) -> float:

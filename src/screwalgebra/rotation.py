@@ -1,13 +1,11 @@
-"""Finite rotations and general displacements in rational half-tangent form.
+"""Finite rotations and general displacements in Rodrigues' parameters.
 
-A rotation by theta about a unit axis is carried by the vector
-q = 2 tan(theta/2) * axis, which keeps every composition and evaluation
-formula rational in the parameters. theta = pi is not representable in this
-form; the Euler-Rodrigues parameters (cos(theta/2), sin(theta/2) * axis)
-cover it (compose.fold_half_angle, screw.screw_from_fold).
-
-A general displacement is stored as (q, delta) where delta is the image
-displacement of the coordinate origin.
+A rotation by theta about a unit axis has the four parameters
+(w, v) = (cos(theta/2), sin(theta/2) * axis) of Rodrigues' memoir, up to a
+common factor. Their ratio, the rotation vector q = 2 v / w =
+2 tan(theta/2) * axis, keeps every formula rational; it does not exist at
+theta = pi. A general displacement is stored as (w, v, delta), delta the
+image of the origin, with w = 1 and v = q/2 exactly wherever q exists.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .core import AT_PI_CUT, RESIDUAL_TOL, TRACE_CUT, ZERO_CUT
-from .core import EZ, UnitVec3, Vec3, make_unit
-from .errors import AngleAtPi, TraceSingular
+from .core import EZ, ZERO, UnitVec3, Vec3, make_unit
+from .errors import AngleAtPi, GibbsOverflow, TraceSingular
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,16 +96,49 @@ class RotationMatrix:
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Displacement:
-    """General rigid displacement: rotation vector q plus origin image delta.
+    """General rigid displacement: rotation parameters (w, v) plus origin image delta.
 
-    q may be zero (pure translation). The midpoint-law constant vector is
-    derived, never stored: gamma() = delta - (1/2) q x delta.
+    Built from the rotation vector q, zero for a pure translation, it has
+    w = 1 and v = q/2. Within 1e-12 of a half turn, where q does not exist,
+    (w, v) are in half-turn form: w^2 + |v|^2 = 1 and 0 <= w < 1e-12. q
+    and the midpoint-law vector gamma() = delta - (1/2) q x delta are
+    derived, and both raise GibbsOverflow in half-turn form.
     """
 
-    q: GibbsVector
+    w: float
+    v: Vec3
     delta: Vec3
+
+    def __init__(
+        self, q: GibbsVector | None = None, delta: Vec3 = ZERO, *, w: float = 1.0, v: Vec3 = ZERO
+    ):
+        """Displacement(q, delta) from the rotation vector q, or
+        Displacement(w=w, v=v, delta=delta) from rotation parameters
+        proportional to (w, v): they are scaled to w = 1 when |w| >= 1e-12,
+        and to half-turn form otherwise. That cut is on w as given, so
+        w^2 + |v|^2 must be at least 1, as it is for the product of two
+        displacements' parameters.
+        """
+        if q is not None:
+            v = Vec3(q.m * 0.5, q.n * 0.5, q.p * 0.5)
+        elif abs(w) < AT_PI_CUT:
+            n = math.copysign(math.sqrt(w * w + v.dot(v)), w)
+            w, v = w / n, v / n
+        elif w != 1.0:
+            w, v = 1.0, Vec3(v.x / w, v.y / w, v.z / w)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "delta", delta)
+
+    @property
+    def q(self) -> GibbsVector:
+        """The rotation vector 2 v / w; raises GibbsOverflow in half-turn form."""
+        if self.w != 1.0:
+            raise GibbsOverflow("the rotation is a half turn; it has no rotation vector")
+        v = self.v
+        return GibbsVector(v.x * 2.0, v.y * 2.0, v.z * 2.0)
 
     def gamma(self) -> Vec3:
         return self.delta - self.q.as_vec3().cross(self.delta) * 0.5
@@ -195,16 +226,23 @@ def gibbs_from_matrix(M: RotationMatrix) -> GibbsVector:
 def apply_displacement(D: Displacement, r: Vec3) -> Vec3:
     """Image of the point r under D, evaluated by the rational chord formula.
 
-    The chord is delta + [q x r + (1/2)(q (q.r) - q^2 r)] / (1 + q^2/4);
+    The chord is delta + 2 [w v x r + v (v.r) - |v|^2 r] / (w^2 + |v|^2),
+    which is delta + [q x r + (1/2)(q (q.r) - q^2 r)] / (1 + q^2/4) at w = 1;
     the result is r + chord.
     """
-    qv = D.q.as_vec3()
-    q2 = qv.dot(qv)
-    if q2 == 0.0:
-        return r + D.delta
-    num = qv.cross(r) + (qv * qv.dot(r) - r * q2) * 0.5
-    chord = D.delta + num / (1.0 + q2 / 4.0)
-    return r + chord
+    w, v, d = D.w, D.v, D.delta
+    vx, vy, vz = v.x, v.y, v.z
+    v2 = vx * vx + vy * vy + vz * vz
+    if v2 == 0.0:
+        return r + d
+    rx, ry, rz = r.x, r.y, r.z
+    s = vx * rx + vy * ry + vz * rz
+    den = w * w + v2
+    return Vec3(
+        rx + (d.x + 2.0 * (w * (vy * rz - vz * ry) + (vx * s - rx * v2)) / den),
+        ry + (d.y + 2.0 * (w * (vz * rx - vx * rz) + (vy * s - ry * v2)) / den),
+        rz + (d.z + 2.0 * (w * (vx * ry - vy * rx) + (vz * s - rz * v2)) / den),
+    )
 
 
 def midpoint_of(D: Displacement, r: Vec3) -> Vec3:
@@ -216,10 +254,12 @@ def displacement_of_rotation(line_point: Vec3, axis: UnitVec3, theta: float) -> 
     """Displacement of a pure rotation about the line through line_point.
 
     theta is first reduced into [-pi, pi] (exact for |theta| <= pi, so such
-    an angle keeps its bits). Raises AngleAtPi when the reduced angle is
-    within 1e-12 of a half turn (no q exists).
+    an angle keeps its bits). Within 1e-12 of a half turn the displacement
+    is in half-turn form.
     """
     theta = math.remainder(theta, 2.0 * math.pi)
-    q = gibbs_from_axis_angle(axis, theta)
     delta = line_point - rodrigues_rotate(axis, theta, line_point)
-    return Displacement(q, delta)
+    if abs(theta) < math.pi - AT_PI_CUT:
+        return Displacement(gibbs_from_axis_angle(axis, theta), delta)
+    half = theta / 2.0
+    return Displacement(w=math.cos(half), v=axis * math.sin(half), delta=delta)

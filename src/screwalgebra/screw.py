@@ -29,7 +29,6 @@ from .core import (
     canonicalize_rotation,
     distance_between_lines,
     _half_turn_flip,
-    _unit_components,
     make_unit,
 )
 from .compose import (
@@ -38,18 +37,12 @@ from .compose import (
     fold_half_angle,
     translation_as_couple,
 )
-from .errors import (
-    DegenerateInput,
-    DegenerateResultant,
-    GibbsOverflow,
-    ParallelPlanes,
-)
+from .errors import DegenerateInput, DegenerateResultant, ParallelPlanes
 from .pointfit import Correspondence
 from .rotation import (
     GIBBS_ZERO,
     Displacement,
     displacement_of_rotation,
-    gibbs_from_axis_angle,
     rodrigues_rotate,
 )
 
@@ -140,26 +133,30 @@ class InvariantSides(NamedTuple):
 def screw_from_displacement(D: Displacement) -> Screw:
     """Extract the central axis, angle, and slide of a displacement.
 
-    The axis passes through r0 = delta/2 - delta x q / q^2 (the slide's
-    midpoint construction); the slide is the projection of delta on the
-    axis direction. A rotation vector of length at most 1e-12 gives the
-    identity or a pure translation.
+    theta = 2 atan2(|v|, w) = 2 atan(|q|/2); the axis passes through
+    r0 = delta/2 + w (v x delta) / (2 |v|^2), which is the slide's midpoint
+    construction delta/2 - delta x q / q^2 at w = 1; the slide is the
+    projection of delta on the axis direction. A half turn is covered. A
+    rotation vector of length at most 1e-12 gives the identity or a pure
+    translation.
     """
-    qx, qy, qz = D.q.m, D.q.n, D.q.p
-    q2 = qx * qx + qy * qy + qz * qz
-    qn = math.sqrt(q2)
-    if qn <= ZERO_CUT:
-        if D.delta.norm() == 0.0:
+    w, v, d = D.w, D.v, D.delta
+    vx, vy, vz = v.x, v.y, v.z
+    v2 = vx * vx + vy * vy + vz * vz
+    vn = math.sqrt(v2)
+    # 2 |v| is |q| at w = 1; in half-turn form |v| is about 1.
+    if vn + vn <= ZERO_CUT:
+        if d.norm() == 0.0:
             return Screw.identity()
-        return Screw.pure_translation(D.delta)
-    ux, uy, uz = _unit_components(qx, qy, qz)
-    theta = 2.0 * math.atan(qn / 2.0)
-    d = D.delta
+        return Screw.pure_translation(d)
+    ux, uy, uz = vx / vn, vy / vn, vz / vn
+    # atan2(y, 1.0) and atan(y) can differ in the last bit; w = 1 keeps atan's.
+    theta = 2.0 * (math.atan(vn) if w == 1.0 else math.atan2(vn, w))
     slide = d.x * ux + d.y * uy + d.z * uz
-    # r0 = delta / 2 - (delta x q) / q^2
-    rx = d.x * 0.5 - (d.y * qz - d.z * qy) / q2
-    ry = d.y * 0.5 - (d.z * qx - d.x * qz) / q2
-    rz = d.z * 0.5 - (d.x * qy - d.y * qx) / q2
+    h = v2 + v2
+    rx = d.x * 0.5 - w * (d.y * vz - d.z * vy) / h
+    ry = d.y * 0.5 - w * (d.z * vx - d.x * vz) / h
+    rz = d.z * 0.5 - w * (d.x * vy - d.y * vx) / h
     return Screw.general(Vec3(rx, ry, rz), UnitVec3(ux, uy, uz), theta, slide)
 
 
@@ -178,42 +175,17 @@ def fold_central_axis(w: float, vec: Vec3, delta: Vec3) -> tuple[Vec3, Vec3, flo
     return axis, perp * 0.5 + axis.cross(perp) * (0.5 * cot_half), slide
 
 
-def screw_from_fold(w: float, v: Vec3, delta: Vec3) -> Screw:
-    """Screw of the displacement with Euler-Rodrigues parameters (w, v).
-
-    (w, v) = (cos(Theta/2), sin(Theta/2) axis) is the rotation part and
-    delta the image of the origin. Unlike the rotation vector these stay
-    finite at Theta = pi. An angle of at most 1e-12 gives the identity or a
-    pure translation.
-    """
-    theta, vec = fold_angle_axis(w, v)
-    if vec is None or theta <= ZERO_CUT:
-        if delta.norm() == 0.0:
-            return Screw.identity()
-        return Screw.pure_translation(delta)
-    axis, point, slide = fold_central_axis(w, vec, delta)
-    return Screw.general(point, make_unit(axis), theta, slide)
-
-
 def displacement_from_screw(S: Screw) -> Displacement:
     """Rebuild the displacement: rotate about the axis, then slide along it.
 
-    Raises GibbsOverflow for a half-turn screw, which has no rotation
-    vector; screw_from_fold takes such a motion from its Euler-Rodrigues
-    parameters.
+    A half-turn screw gives a displacement in half-turn form.
     """
     if S.kind is ScrewKind.IDENTITY:
         return Displacement(GIBBS_ZERO, Vec3(0.0, 0.0, 0.0))
     if S.kind is ScrewKind.TRANSLATION:
         return Displacement(GIBBS_ZERO, S.translation)
-    if S.theta >= math.pi - AT_PI_CUT:
-        raise GibbsOverflow(
-            "half-turn screw has no rotation vector; use screw_from_fold"
-        )
-    q = gibbs_from_axis_angle(S.axis.dir, S.theta)
-    turned = rodrigues_rotate(S.axis.dir, S.theta, S.axis.point)
-    delta = S.axis.point - turned + S.axis.dir * S.slide
-    return Displacement(q, delta)
+    D = displacement_of_rotation(S.axis.point, S.axis.dir, S.theta)
+    return Displacement(w=D.w, v=D.v, delta=D.delta + S.axis.dir * S.slide)
 
 
 def absolute_translation(D: Displacement) -> AbsoluteTranslation:
@@ -224,10 +196,10 @@ def absolute_translation(D: Displacement) -> AbsoluteTranslation:
     returned with translation_only set, as it is for a rotation vector of
     length at most 1e-12.
     """
-    if D.q.norm() <= ZERO_CUT:
+    vn = D.v.norm()
+    if vn + vn <= ZERO_CUT:
         return AbsoluteTranslation(D.delta.norm(), True)
-    direction = make_unit(D.q.as_vec3())
-    return AbsoluteTranslation(D.delta.dot(direction), False)
+    return AbsoluteTranslation(D.delta.dot(D.v / vn), False)
 
 
 def conjugate_pair_decompose(S: Screw, thetaB: float, psi: float) -> ConjugatePair:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from screwalgebra import Displacement, GibbsVector, Vec3, apply_displacement, make_unit
 from screwalgebra.cli import (
     ParseError,
     RotRecord,
@@ -15,7 +17,7 @@ from screwalgebra.cli import (
     main,
     parse_motion_file,
 )
-from screwalgebra.oracle import screw_from_hom_bruteforce
+from screwalgebra.oracle import hom_compose, hom_from_rotation, screw_from_hom_bruteforce
 from screwalgebra.screw import Screw, ScrewKind
 from _util import xyz
 
@@ -51,18 +53,78 @@ def assert_screw_report(report: dict[str, str], s: Screw) -> None:
     assert float(report["slide"]) == pytest.approx(s.slide, abs=1e-9)
 
 
-# Motion files with no rotation vector: a record or the composite is a half turn.
+# Motion files whose composite is a half turn, which has no rotation vector.
 HALF_TURN_FILES = {
     "lone-180": "rot 0 0 1 0 0 0 180\n",
     "lone-minus-180": "rot 0 -2 1  3 0 1  -180\n",
     "180-then-trans": "rot 0 0 1  1 2 0  180\ntrans 0.5 -1 3\n",
+    "a-plus-complement": "rot 2 -1 2  1 1 0  35\nrot 2 -1 2  1 1 0  145\n",
+}
+
+# Motion files with a half-turn record whose composite is no half turn.
+HALF_TURN_RECORD_FILES = {
     "mid-chain-180": (
         "rot 1 0 0  0 0 0  30\nrot 0.3 -0.4 1  1 0 2  180\n"
         "rot 0 1 0  0 0 2  45\ntrans 1 2 3\n"
     ),
-    "a-plus-complement": "rot 2 -1 2  1 1 0  35\nrot 2 -1 2  1 1 0  145\n",
+    # Two half turns about parallel axes: a translation.
     "180-then-minus-180": "rot 0 1 1  0 0 0  180\nrot 0 1 1  2 -1 1  -180\n",
 }
+
+PROBES = [Vec3(1.5, -2.0, 0.5), Vec3(-3.0, 1.0, 2.0), Vec3(0.0, 0.0, 0.0)]
+
+
+def assert_motion_report(command: str, code: int, report: dict[str, str], H) -> None:
+    """compose or decompose printed the motion H: every field agrees with the
+    oracle to 1e-9, and exit 3 goes with gibbs=overflow."""
+    assert (report.pop("gibbs", None) == "overflow") == (code == 3)
+    expected = screw_from_hom_bruteforce(H)
+    if command == "compose" or code == 3:
+        if command == "compose":
+            assert vec(report, "delta") == pytest.approx(xyz(H.d), abs=1e-9)
+            del report["delta"]
+        if code == 0:
+            D = Displacement(GibbsVector(*vec(report, "q")), Vec3(*xyz(H.d)))
+            for p in PROBES:
+                assert xyz(apply_displacement(D, p)) == pytest.approx(xyz(H.apply(p)), abs=1e-9)
+            del report["q"]
+        assert_screw_report(report, expected)
+    elif code == 4:
+        assert report["degenerate"] == "true"
+        assert expected.kind is not ScrewKind.GENERAL or abs(expected.slide) <= 1e-9
+    else:
+        assert code == 0
+        lines = [
+            hom_from_rotation(
+                Vec3(*vec(report, f"{name}.point")),
+                make_unit(Vec3(*vec(report, f"{name}.dir"))),
+                math.radians(float(report[f"{name}.angle"])),
+            )
+            for name in ("lineA", "lineB")
+        ]
+        pair = hom_compose(*lines)
+        for p in PROBES:
+            assert xyz(pair.apply(p)) == pytest.approx(xyz(H.apply(p)), abs=1e-9)
+        assert float(report["invariant.difference"]) <= 1e-9
+
+
+def _near_half_turn_files() -> list[tuple[str, bool]]:
+    """(motion file, composite is a half turn) for turns within 1e-3 rad of a
+    half turn; the offset 0 gives exactly 180 degrees."""
+    rng = random.Random(29)
+    files = []
+    for offset in (1e-3, 1e-5, 1e-7, 1e-9, 0.0):
+        angle = 180.0 - math.degrees(offset)
+        for _ in range(3):
+            d = " ".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(3))
+            p, p2, t = (" ".join(f"{rng.uniform(-3, 3):.4f}" for _ in range(3)) for _ in range(3))
+            a = rng.uniform(20.0, 160.0)
+            files.append((f"rot {d}  {p}  {angle!r}\ntrans {t}\n", offset == 0.0))
+            # Two turns about parallel axes whose angles add up to the turn.
+            files.append(
+                (f"rot {d}  {p}  {a!r}\nrot {d}  {p2}  {angle - a!r}\ntrans {t}\n", offset == 0.0)
+            )
+    return files
 
 
 class TestMotionFileParsing:
@@ -171,6 +233,28 @@ class TestCompose:
                 del report["delta"]
             assert_screw_report(report, expected)
 
+    @pytest.mark.parametrize(
+        "text", HALF_TURN_RECORD_FILES.values(), ids=HALF_TURN_RECORD_FILES.keys()
+    )
+    def test_half_turn_record_in_a_regular_motion(self, text, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        src.write_text(text)
+        H = build_hom(parse_motion_file(text), False)
+        for command in ("compose", "decompose"):
+            code, report = run_cli(capsys, command, str(src))
+            assert code in ((0,) if command == "compose" else (0, 4))
+            assert_motion_report(command, code, report, H)
+
+    def test_turns_near_a_half_turn_agree_with_the_oracle(self, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        for text, half_turn in _near_half_turn_files():
+            src.write_text(text)
+            H = build_hom(parse_motion_file(text), False)
+            for command in ("compose", "decompose"):
+                code, report = run_cli(capsys, command, str(src))
+                assert code == (3 if half_turn else 0), text
+                assert_motion_report(command, code, report, H)
+
     def test_angle_past_a_half_turn_is_reduced(self, tmp_path, capsys):
         reports = []
         for angle in ("270", "-90"):
@@ -196,6 +280,7 @@ class TestCompose:
         code, report = run_cli(capsys, command, str(src))
         assert code == 2
         assert report["error"] == "range"
+        assert report["error.message"].startswith("non-finite component")
 
     def test_radians_flag(self, tmp_path, capsys):
         src = tmp_path / "m.txt"

@@ -10,6 +10,7 @@ import pytest
 from screwalgebra import (
     AxisLine,
     Couple,
+    GibbsOverflow,
     GibbsVector,
     ResultantHalfTurn,
     Rotation,
@@ -166,8 +167,9 @@ class TestNonintersectingAxes:
                 )
                 da = displacement_of_rotation(p1, d1, t1)
                 db = displacement_of_rotation(p2, d2, t2)
+                # A half-turn composite has no rotation vector for the oracle.
                 h_pair = hom_from_displacement(compose_displacements(da, db))
-            except ResultantHalfTurn:
+            except GibbsOverflow:
                 continue
             # The screw and the folded pair must move probe points identically.
             probe = Vec3(*(rng.uniform(-2, 2) for _ in range(3)))

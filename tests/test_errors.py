@@ -61,9 +61,10 @@ TRIGGERS = {
             [Z_AXIS, AxisLine(Vec3(1.0, 0.0, 0.0), Z)], [1.0, -1.0]
         ),
     ),
+    # A half-turn displacement is kept, but it has no rotation vector.
     "half-turn-screw": (
         GibbsOverflow,
-        lambda: displacement_from_screw(Screw.general(ZERO, Z, math.pi, 1.0)),
+        lambda: displacement_from_screw(Screw.general(ZERO, Z, math.pi, 1.0)).q,
     ),
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -35,8 +36,8 @@ def test_numpy_stays_off_the_import_path():
 
 
 def test_half_turn_reports_do_not_load_numpy(tmp_path):
-    # A half turn has no rotation vector; its screw comes from the
-    # Euler-Rodrigues fold, not from the numpy oracle.
+    # A half turn has no rotation vector; its screw comes from Rodrigues'
+    # parameters, not from the numpy oracle.
     src = tmp_path / "half-turn.txt"
     src.write_text("rot 0 0 1  1 2 0  180\ntrans 0 0 3\n")
     probe = _run(
@@ -48,3 +49,19 @@ def test_half_turn_reports_do_not_load_numpy(tmp_path):
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.splitlines()[-1] == "[3, 3] False"
+
+
+def test_numpy_is_imported_only_by_the_oracle_and_the_checks():
+    package = SRC / "screwalgebra"
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"oracle.py", "checks.py"}

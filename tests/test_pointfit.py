@@ -18,7 +18,6 @@ from screwalgebra import (
     TooFewPoints,
     TraceSingular,
     Vec3,
-    ZeroVector,
     apply_displacement,
     check_rigidity,
     fit_displacement,
@@ -212,13 +211,13 @@ CASES = {
         ValueError,
         ValueError,
     ),
-    # Squared differences underflow; the distances are taken by hypot. The
-    # fit's cross product of two edges still underflows to zero.
+    # Squared differences underflow; the distances are taken by hypot, and
+    # the fit measures its edges in units of the spread.
     "tiny": (
         _same(
             [(TINY, -TINY, TINY), (-TINY, TINY, TINY), (TINY, TINY, -TINY), (-TINY, -TINY, -TINY)]
         ),
-        CollinearPoints,
+        Displacement,
         RigidityReport,
     ),
     "coincident": (_same([(1.0, 2.0, 3.0)] * 4), CollinearPoints, CoplanarPoints),
@@ -232,11 +231,11 @@ CASES = {
         Displacement,
         CoplanarPoints,
     ),
-    # A base edge of 1e-13 passes the collinearity test on a 1e-6 triangle
-    # but is too short for the frame's first axis.
+    # A base edge of 1e-13 on a 1e-6 triangle: the frame's short-edge cut
+    # is measured in units of the spread, so the edge is long enough.
     "short-edge": (
         _same([(0.0, 0.0, 0.0), (1e-13, 0.0, 0.0), (0.0, 1e-6, 0.0), (0.0, 0.0, 1e-6)]),
-        ZeroVector,
+        Displacement,
         RigidityReport,
     ),
     "half-turn": (_half_turn_z(TET), TraceSingular, RigidityReport),
@@ -315,6 +314,16 @@ def test_tiny_tetrahedron_is_rigid_not_coplanar():
     # Every pairwise distance of the 1e-200 tetrahedron underflows when squared;
     # taken again by hypot, it keeps its volume and its verdict.
     assert check_rigidity(CASES["tiny"][0]) == RigidityReport(rigid=True, proper=True)
+
+
+def test_tiny_quarter_turn_is_recovered():
+    # A quarter turn about z and a lift on a triangle of size 1e-200: every
+    # square of a coordinate difference underflows.
+    base = [(0.0, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 2e-200, 0.0)]
+    corrs = _corrs(((x, y, z), (-y, x, z + 3e-200)) for x, y, z in base)
+    fit = fit_displacement(*corrs)
+    assert mnp(fit.q) == pytest.approx((0.0, 0.0, 2.0), abs=1e-12)
+    assert xyz(fit.delta) == pytest.approx((0.0, 0.0, 3e-200), abs=1e-212)
 
 
 def test_half_turn_message():

@@ -11,12 +11,13 @@ import pytest
 import screwalgebra
 from screwalgebra import (
     AxisLine,
+    Displacement,
     Rotation,
     Vec3,
     canonicalize_rotation,
     fold_angle_axis,
     make_unit,
-    screw_from_fold,
+    screw_from_displacement,
 )
 from screwalgebra.core import ZERO
 
@@ -85,7 +86,7 @@ def test_half_turn_callers_pick_one_direction(direction, kept):
     expected = axis if kept else -axis
     canon = canonicalize_rotation(Rotation(AxisLine(ZERO, axis), math.pi))
     theta, folded = fold_angle_axis(0.0, axis)
-    screw = screw_from_fold(0.0, axis, ZERO)
+    screw = screw_from_displacement(Displacement(w=0.0, v=axis))
     assert canon.angle == theta == screw.theta == math.pi
     for picked in (canon.line.dir, folded, screw.axis.dir):
         assert picked.dot(expected) > 0.0
