@@ -126,9 +126,9 @@ def fit_displacement(
     scale = max(dist)
     if scale <= 0.0:
         raise CollinearPoints("the three base points coincide")
-    # Edges in units of 2^e with scale = m 2^e, 1/2 <= m < 1: exact, and the
-    # area below cannot underflow however small the spread.
-    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    # Edges in units of 2^e with scale = m 2^e, 1/2 <= m < 1 (or of 2^-1023 for
+    # a subnormal spread): exact, and the area below cannot underflow.
+    unit = math.ldexp(1.0, min(-math.frexp(scale)[1], 1023))
     ux, uy, uz = (b1.x - b0.x) * unit, (b1.y - b0.y) * unit, (b1.z - b0.z) * unit
     vx, vy, vz = (b2.x - b0.x) * unit, (b2.y - b0.y) * unit, (b2.z - b0.z) * unit
     nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import AT_PI_CUT, RESIDUAL_TOL, TRACE_CUT, ZERO_CUT
 from .core import EZ, ZERO, UnitVec3, Vec3, make_unit
-from .errors import AngleAtPi, GibbsOverflow, TraceSingular
+from .errors import AngleAtPi, DegenerateInput, GibbsOverflow, TraceSingular
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,14 +117,16 @@ class Displacement:
         """Displacement(q, delta) from the rotation vector q, or
         Displacement(w=w, v=v, delta=delta) from rotation parameters
         proportional to (w, v): they are scaled to w = 1 when |w| >= 1e-12,
-        and to half-turn form otherwise. That cut is on w as given, so
-        w^2 + |v|^2 must be at least 1, as it is for the product of two
-        displacements' parameters.
+        and to half-turn form otherwise (DegenerateInput if w^2 + |v|^2 is
+        0 or overflows). That cut is on w as given, so w^2 + |v|^2 must be
+        at least 1, as for the product of two displacements' parameters.
         """
         if q is not None:
             v = Vec3(q.m * 0.5, q.n * 0.5, q.p * 0.5)
         elif abs(w) < AT_PI_CUT:
             n = math.copysign(math.sqrt(w * w + v.dot(v)), w)
+            if not 0.0 < abs(n) < math.inf:
+                raise DegenerateInput(f"rotation parameters ({w}, {v.as_tuple()}) have no scale")
             w, v = w / n, v / n
         elif w != 1.0:
             w, v = 1.0, Vec3(v.x / w, v.y / w, v.z / w)
@@ -224,11 +226,10 @@ def gibbs_from_matrix(M: RotationMatrix) -> GibbsVector:
 
 
 def apply_displacement(D: Displacement, r: Vec3) -> Vec3:
-    """Image of the point r under D, evaluated by the rational chord formula.
+    """Image of the point r under D: r plus the rational chord.
 
-    The chord is delta + 2 [w v x r + v (v.r) - |v|^2 r] / (w^2 + |v|^2),
-    which is delta + [q x r + (1/2)(q (q.r) - q^2 r)] / (1 + q^2/4) at w = 1;
-    the result is r + chord.
+    The chord is delta + 2 [w v x r + v (v.r) - |v|^2 r] / (w^2 + |v|^2), which
+    is delta + [q x r + (1/2)(q (q.r) - q^2 r)] / (1 + q^2/4) at w = 1.
     """
     w, v, d = D.w, D.v, D.delta
     vx, vy, vz = v.x, v.y, v.z
@@ -238,11 +239,15 @@ def apply_displacement(D: Displacement, r: Vec3) -> Vec3:
     rx, ry, rz = r.x, r.y, r.z
     s = vx * rx + vy * ry + vz * rz
     den = w * w + v2
-    return Vec3(
+    x, y, z = (
         rx + (d.x + 2.0 * (w * (vy * rz - vz * ry) + (vx * s - rx * v2)) / den),
         ry + (d.y + 2.0 * (w * (vz * rx - vx * rz) + (vy * s - ry * v2)) / den),
         rz + (d.z + 2.0 * (w * (vx * ry - vy * rx) + (vz * s - rz * v2)) / den),
     )
+    if not abs(x) + abs(y) + abs(z) < math.inf:  # r |v|^2 or v (v.r) overflowed
+        n = math.sqrt(v2)
+        return d + rodrigues_rotate(UnitVec3(vx / n, vy / n, vz / n), 2.0 * math.atan2(n, w), r)
+    return Vec3(x, y, z)
 
 
 def midpoint_of(D: Displacement, r: Vec3) -> Vec3:

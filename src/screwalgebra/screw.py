@@ -157,6 +157,8 @@ def screw_from_displacement(D: Displacement) -> Screw:
     rx = d.x * 0.5 - w * (d.y * vz - d.z * vy) / h
     ry = d.y * 0.5 - w * (d.z * vx - d.x * vz) / h
     rz = d.z * 0.5 - w * (d.x * vy - d.y * vx) / h
+    if not abs(rx) + abs(ry) + abs(rz) < math.inf:  # v x delta overflowed; u x (delta/2) cannot
+        rx, ry, rz = (d * 0.5 + UnitVec3(ux, uy, uz).cross(d * 0.5) * (w / vn)).as_tuple()
     return Screw.general(Vec3(rx, ry, rz), UnitVec3(ux, uy, uz), theta, slide)
 
 

@@ -9,6 +9,7 @@ import random
 import pytest
 
 from screwalgebra import (
+    DegenerateInput,
     Displacement,
     GibbsOverflow,
     GibbsVector,
@@ -22,6 +23,7 @@ from screwalgebra import (
     displacement_from_screw,
     displacement_of_rotation,
     make_unit,
+    rodrigues_rotate,
     screw_from_displacement,
 )
 from screwalgebra.core import AT_PI_CUT, ZERO_CUT, ZERO
@@ -131,6 +133,34 @@ def test_parameters_are_scaled_to_one_of_the_two_forms():
     assert D.v.dot(v) < 0.0
     D = Displacement(w=-0.0, v=v)
     assert (D.w, D.v.dot(v) < 0.0) == (0.0, True)
+
+
+@pytest.mark.parametrize("w, v", [(0.0, ZERO), (0.0, Vec3(1e200, 0.0, 0.0))])
+def test_parameters_without_a_scale_are_rejected(w, v):
+    # w^2 + |v|^2 is 0, or overflows: neither has a half-turn form.
+    with pytest.raises(DegenerateInput, match="no scale"):
+        Displacement(w=w, v=v)
+
+
+def test_huge_point_is_moved_by_the_bounded_rotation():
+    # r |v|^2 overflows for a turn of 179.9999 degrees on a point at 1e306.
+    axis, theta = make_unit(Vec3(0.0, 0.6, 0.8)), math.radians(179.9999)
+    D = displacement_of_rotation(ZERO, axis, theta)
+    r = Vec3(1e306, -2e305, 0.0)
+    assert D.v.dot(D.v) * r.x == math.inf
+    want = rodrigues_rotate(axis, theta, r)
+    assert xyz(apply_displacement(D, r)) == pytest.approx(xyz(want), rel=1e-12, abs=1e294)
+
+
+def test_huge_slide_gives_a_bounded_half_turn_axis():
+    # v x delta overflows; its size is 1.5e308 * sqrt(2) on the axis (0, 1, 1)/sqrt(2).
+    axis = make_unit(Vec3(0.0, 1.0, 1.0))
+    D = displacement_of_rotation(ZERO, axis, math.pi)
+    D = Displacement(w=D.w, v=D.v, delta=Vec3(0.0, 1.5e308, -1.5e308))
+    s = screw_from_displacement(D)
+    assert s.theta == math.pi
+    assert s.axis.point.y == 0.75e308 and s.axis.point.z == -0.75e308
+    assert abs(s.axis.point.x) < 1e292
 
 
 def test_replace_keeps_the_parameters():

@@ -282,6 +282,21 @@ class TestCompose:
         assert report["error"] == "range"
         assert report["error.message"].startswith("non-finite component")
 
+    def test_half_turn_with_a_huge_slide_is_printed(self, tmp_path, capsys):
+        # v x delta overflows on the way to the axis point; the point itself fits.
+        src = tmp_path / "m.txt"
+        src.write_text("rot 0 1 1 0 0 0 180\ntrans 0 1.5e308 -1.5e308\n")
+        code, report = run_cli(capsys, "compose", str(src))
+        assert code == 3
+        assert report["gibbs"] == "overflow"
+        assert (report["kind"], float(report["angle"]), float(report["slide"])) == (
+            "screw", 180.0, 0.0
+        )
+        x, y, z = vec(report, "axis.point")
+        assert (abs(x) < 1e292, y, z) == (True, 7.5e307, -7.5e307)
+        assert vec(report, "axis.dir") == pytest.approx((0.0, 0.5**0.5, 0.5**0.5), abs=1e-12)
+        assert vec(report, "delta") == (0.0, 1.5e308, -1.5e308)
+
     def test_radians_flag(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         src.write_text(f"rot 0 0 1 0 0 0 {math.pi / 2}\ntrans 0 0 2\n")

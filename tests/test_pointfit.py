@@ -220,6 +220,10 @@ CASES = {
         Displacement,
         RigidityReport,
     ),
+    # A subnormal spread: its edge unit 2^1029 would overflow, so it is capped.
+    "subnormal": (
+        _same([tuple(c * 1e-310 for c in p) for p in TET]), Displacement, RigidityReport
+    ),
     "coincident": (_same([(1.0, 2.0, 3.0)] * 4), CollinearPoints, CoplanarPoints),
     "collinear": (
         _same([(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (3.0, 3.0, 3.0)]),
@@ -316,14 +320,15 @@ def test_tiny_tetrahedron_is_rigid_not_coplanar():
     assert check_rigidity(CASES["tiny"][0]) == RigidityReport(rigid=True, proper=True)
 
 
-def test_tiny_quarter_turn_is_recovered():
-    # A quarter turn about z and a lift on a triangle of size 1e-200: every
-    # square of a coordinate difference underflows.
-    base = [(0.0, 0.0, 0.0), (1e-200, 0.0, 0.0), (0.0, 2e-200, 0.0)]
-    corrs = _corrs(((x, y, z), (-y, x, z + 3e-200)) for x, y, z in base)
+@pytest.mark.parametrize("size", [1e-200, 1e-310])
+def test_tiny_quarter_turn_is_recovered(size):
+    # A quarter turn about z and a lift on a triangle of the given size: every
+    # square of a coordinate difference underflows, and 1e-310 is subnormal.
+    base = [(0.0, 0.0, 0.0), (size, 0.0, 0.0), (0.0, 2.0 * size, 0.0)]
+    corrs = _corrs(((x, y, z), (-y, x, z + 3.0 * size)) for x, y, z in base)
     fit = fit_displacement(*corrs)
     assert mnp(fit.q) == pytest.approx((0.0, 0.0, 2.0), abs=1e-12)
-    assert xyz(fit.delta) == pytest.approx((0.0, 0.0, 3e-200), abs=1e-212)
+    assert xyz(fit.delta) == pytest.approx((0.0, 0.0, 3.0 * size), abs=1e-12 * size)
 
 
 def test_half_turn_message():
