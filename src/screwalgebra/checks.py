@@ -24,7 +24,6 @@ from .compose import (
     compose_displacements,
     compose_gibbs,
     couple_translation,
-    fold_half_angle,
     nonintersecting_pair,
     order_swap_axis,
     resultant_trig,
@@ -236,10 +235,10 @@ def check_order_sensitivity(rng, n, k):
         t1 = rng.uniform(0.1, math.pi - 0.1)
         t2 = rng.uniform(0.1, math.pi - 0.1)
         nu = rng.uniform(0.1, math.pi - 0.1)
-        w, _ = fold_half_angle(
-            Vec3(1, 0, 0), t1, Vec3(math.cos(nu), math.sin(nu), 0.0), t2
-        )
-        if abs(w) < 1e-3:  # keep clear of the half-turn resultant
+        # w = cos(Theta/2) of the resultant; keep clear of a half turn.
+        c1, s1 = math.cos(t1 / 2.0), math.sin(t1 / 2.0)
+        c2, s2 = math.cos(t2 / 2.0), math.sin(t2 / 2.0)
+        if abs(c1 * c2 - s1 * s2 * math.cos(nu)) < 1e-3:
             continue
         fwd_theta = resultant_trig(t1, t2, nu).theta
         rev_theta = resultant_trig(t2, t1, nu).theta
@@ -302,8 +301,11 @@ def check_nonintersecting_slide_vs_oracle(rng, n, k):
                 continue
             t1 = rng.uniform(0.05, math.pi - 0.05)
             t2 = rng.uniform(0.05, math.pi - 0.05)
-            wv, vv = fold_half_angle(line1.dir, t1, line2.dir, t2)
-            if vv.norm() > 1e-3:  # resultant clearly a rotation
+            c1, s1 = math.cos(t1 / 2.0), math.sin(t1 / 2.0)
+            c2, s2 = math.cos(t2 / 2.0), math.sin(t2 / 2.0)
+            # v = sin(Theta/2) * axis of the resultant, clearly a rotation
+            v = line1.dir * (s1 * c2) + line2.dir * (s2 * c1) + line2.dir.cross(line1.dir) * (s1 * s2)
+            if v.norm() > 1e-3:
                 break
         screw, _delta = nonintersecting_pair(Rotation(line1, t1), Rotation(line2, t2))
         H = hom_compose(

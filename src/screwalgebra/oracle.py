@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AxisLine, UnitVec3, Vec3, make_unit
+from .core import UnitVec3, Vec3
 from .errors import TraceSingular
 from .pointfit import Correspondence
 from .rotation import Displacement, GibbsVector, RotationMatrix
@@ -68,13 +68,15 @@ def hom_from_translation(t: Vec3) -> HomTransform:
 
 def hom_from_displacement(D: Displacement) -> HomTransform:
     """Affine form of a displacement; the rotation matrix is built from the
-    recovered angle trigonometrically, not from the rational formula."""
-    qn = D.q.norm()
-    if qn == 0.0:
+    recovered angle 2 atan2(|v|, w) and axis v / |v| trigonometrically, not
+    from the rational formula. A half turn is covered."""
+    w, v = D.w, D.v
+    vn = v.norm()
+    if vn == 0.0:
         return HomTransform(IDENTITY_HOM.R, D.delta)
-    theta = 2.0 * math.atan(qn / 2.0)
-    axis = make_unit(D.q.as_vec3())
-    return HomTransform(_trig_matrix(axis, theta), D.delta)
+    # atan2(y, 1.0) and atan(y) can differ in the last bit; w = 1 keeps atan's.
+    theta = 2.0 * (math.atan(vn) if w == 1.0 else math.atan2(vn, w))
+    return HomTransform(_trig_matrix(v / vn, theta), D.delta)
 
 
 def displacement_from_hom(H: HomTransform) -> Displacement:
@@ -97,7 +99,7 @@ def displacement_from_hom(H: HomTransform) -> Displacement:
     theta = math.atan2(sin_t, (tr - 1.0) / 2.0)
     if theta <= _ZERO_ANGLE_TOL:
         return Displacement(GibbsVector(0.0, 0.0, 0.0), H.d)
-    axis = make_unit(skew)
+    axis = skew / sin_t
     t = 2.0 * math.tan(theta / 2.0)
     return Displacement(
         GibbsVector(axis.x * t, axis.y * t, axis.z * t), H.d
@@ -157,7 +159,9 @@ def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
     point = sum(
         (float(u[:, i] @ -perp) / sv[i]) * vt[i] for i in range(2)
     )
-    direction = make_unit(Vec3(float(axis[0]), float(axis[1]), float(axis[2])))
+    a = Vec3(float(axis[0]), float(axis[1]), float(axis[2]))
+    n = a.norm()
+    direction = UnitVec3(a.x / n, a.y / n, a.z / n)
     return Screw.general(
         Vec3(float(point[0]), float(point[1]), float(point[2])),
         direction,

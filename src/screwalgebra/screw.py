@@ -31,12 +31,7 @@ from .core import (
     _half_turn_flip,
     make_unit,
 )
-from .compose import (
-    compose_displacements,
-    fold_angle_axis,
-    fold_half_angle,
-    translation_as_couple,
-)
+from .compose import _resultant_screw, compose_displacements, translation_as_couple
 from .errors import DegenerateInput, DegenerateResultant, ParallelPlanes
 from .pointfit import Correspondence
 from .rotation import (
@@ -162,21 +157,6 @@ def screw_from_displacement(D: Displacement) -> Screw:
     return Screw.general(Vec3(rx, ry, rz), UnitVec3(ux, uy, uz), theta, slide)
 
 
-def fold_central_axis(w: float, vec: Vec3, delta: Vec3) -> tuple[Vec3, Vec3, float]:
-    """Axis direction, axis point and slide of a fold moving the origin by delta.
-
-    w = cos(Theta/2) and vec, nonzero, as fold_angle_axis returns them. The
-    slide is delta's projection on the axis; the axis point is the midpoint
-    construction perp/2 + (axis x perp) cot(Theta/2)/2 on the rest, perp.
-    """
-    sin_half = vec.norm()
-    axis = vec / sin_half
-    slide = delta.dot(axis)
-    perp = delta - axis * slide
-    cot_half = abs(w) / sin_half
-    return axis, perp * 0.5 + axis.cross(perp) * (0.5 * cot_half), slide
-
-
 def displacement_from_screw(S: Screw) -> Displacement:
     """Rebuild the displacement: rotate about the axis, then slide along it.
 
@@ -230,13 +210,10 @@ def conjugate_pair_decompose(S: Screw, thetaB: float, psi: float) -> ConjugatePa
         raise DegenerateInput(f"couple angle must lie in (0, pi); got {thetaB}")
     couple = translation_as_couple(c_hat * S.slide, thetaB, psi)
     b_hat = couple.dir
-    w, v = fold_half_angle(c_hat, S.theta, b_hat, thetaB)
-    theta_a, vec = fold_angle_axis(w, v)
-    if vec is None:
+    turn_a = _resultant_screw(c_hat, S.theta, b_hat, thetaB)
+    if turn_a.kind is ScrewKind.IDENTITY:
         raise DegenerateInput("screw rotation and couple cancel; no pair exists")
-    line_a = canonicalize_rotation(
-        Rotation(AxisLine(anchor, make_unit(vec)), theta_a)
-    )
+    line_a = Rotation(AxisLine(anchor, turn_a.axis.dir), turn_a.theta)
     line_b = Rotation(AxisLine(anchor + couple.point2, b_hat), -thetaB)
     return ConjugatePair(line_a, line_b, False)
 

@@ -269,10 +269,8 @@ class TestCompose:
         [
             ("compose", "trans 1e308 0 0\ntrans 1e308 0 0\n"),
             ("compose", "rot 0 0 1 1e308 1e308 0 90\n"),
-            # Only the couple that carries the 1e300 slide overflows.
-            ("decompose", "rot 1 1 1 0 0 0 30\ntrans 1e300 0 0\n"),
         ],
-        ids=["fold-sum", "axis-point", "couple"],
+        ids=["fold-sum", "axis-point"],
     )
     def test_overflowing_numbers_exit_2(self, command, text, tmp_path, capsys):
         src = tmp_path / "m.txt"
@@ -339,6 +337,28 @@ class TestDecompose:
         expected = math.sqrt(2.0) / 2.0
         assert float(report["invariant.lhs"]) == pytest.approx(expected, abs=1e-9)
         assert float(report["invariant.rhs"]) == pytest.approx(expected, abs=1e-9)
+
+    def test_slide_too_long_to_square_still_splits(self, tmp_path, capsys):
+        # |slide|^2 overflows on the way to the couple; the couple itself fits.
+        text = "rot 1 1 1 0 0 0 30\ntrans 1e300 0 0\n"
+        src = tmp_path / "m.txt"
+        src.write_text(text)
+        code, report = run_cli(capsys, "decompose", str(src))
+        assert code == 0
+        H = build_hom(parse_motion_file(text), False)
+        pair = hom_compose(
+            *(
+                hom_from_rotation(
+                    Vec3(*vec(report, f"{name}.point")),
+                    make_unit(Vec3(*vec(report, f"{name}.dir"))),
+                    math.radians(float(report[f"{name}.angle"])),
+                )
+                for name in ("lineA", "lineB")
+            )
+        )
+        for p in PROBES:
+            assert xyz(pair.apply(p)) == pytest.approx(xyz(H.apply(p)), rel=0, abs=1e-9 * 1e300)
+        assert float(report["invariant.difference"]) <= 1e-9 * float(report["invariant.lhs"])
 
     def test_pure_translation_is_degenerate(self, tmp_path, capsys):
         src = tmp_path / "m.txt"

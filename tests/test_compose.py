@@ -10,20 +10,15 @@ import pytest
 from screwalgebra import (
     AxisLine,
     Couple,
-    GibbsOverflow,
     GibbsVector,
     ResultantHalfTurn,
     Rotation,
     ScrewKind,
     Vec3,
-    compose_displacements,
     compose_gibbs,
     couple_translation,
-    displacement_of_rotation,
-    fold_angle_axis,
-    fold_half_angle,
     hom_compose,
-    hom_from_displacement,
+    hom_from_rotation,
     make_unit,
     matrix_from_gibbs,
     nonintersecting_pair,
@@ -75,22 +70,6 @@ class TestComposeGibbs:
         assert mnp(compose_gibbs(q, zero)) == pytest.approx(mnp(q), abs=1e-15)
 
 
-class TestFoldHelpers:
-    def test_fold_half_angle_perpendicular_quarters(self):
-        w, v = fold_half_angle(Vec3(1, 0, 0), HALF_PI, Vec3(0, 1, 0), HALF_PI)
-        theta, axis = fold_angle_axis(w, v)
-        assert theta == pytest.approx(2 * math.pi / 3, abs=1e-12)
-        assert xyz(make_unit(axis)) == pytest.approx(
-            (1 / ROOT3, 1 / ROOT3, -1 / ROOT3), abs=1e-12
-        )
-
-    def test_fold_identity(self):
-        w, v = fold_half_angle(Vec3(0, 0, 1), 0.0, Vec3(0, 1, 0), 0.0)
-        theta, axis = fold_angle_axis(w, v)
-        assert theta == 0.0
-        assert axis is None
-
-
 class TestIntersectingAxes:
     def test_resultant_of_perpendicular_quarter_turns(self):
         frame = resultant_trig(HALF_PI, HALF_PI, HALF_PI)
@@ -98,6 +77,11 @@ class TestIntersectingAxes:
         assert (frame.cos_x, frame.cos_y, frame.cos_z) == pytest.approx(
             (1 / ROOT3, 1 / ROOT3, -1 / ROOT3), abs=1e-12
         )
+
+    def test_tiny_resultant_is_the_identity(self):
+        # A 1e-13 turn folds to a rotation vector below the zero cut: the
+        # documented identity convention, not an axis normalized from noise.
+        assert resultant_trig(1e-13, 0.0, 0.5) == (0.0, 1.0, 0.0, 0.0)
 
     def test_order_swap_mirrors_the_axis(self):
         forward, swapped = order_swap_axis(HALF_PI, HALF_PI, HALF_PI)
@@ -161,25 +145,30 @@ class TestNonintersectingAxes:
             if d1.cross(d2).norm() < 1e-2:
                 continue
             t1, t2 = rng.uniform(0.2, 2.8), rng.uniform(0.2, 2.8)
-            try:
-                screw, _ = nonintersecting_pair(
-                    Rotation(AxisLine(p1, d1), t1), Rotation(AxisLine(p2, d2), t2)
-                )
-                da = displacement_of_rotation(p1, d1, t1)
-                db = displacement_of_rotation(p2, d2, t2)
-                # A half-turn composite has no rotation vector for the oracle.
-                h_pair = hom_from_displacement(compose_displacements(da, db))
-            except GibbsOverflow:
-                continue
-            # The screw and the folded pair must move probe points identically.
-            probe = Vec3(*(rng.uniform(-2, 2) for _ in range(3)))
-            h_screw = hom_from_displacement(
-                displacement_of_rotation(
-                    screw.axis.point, screw.axis.dir, screw.theta
-                )
+            screw, _ = nonintersecting_pair(
+                Rotation(AxisLine(p1, d1), t1), Rotation(AxisLine(p2, d2), t2)
             )
+            h_pair = hom_compose(hom_from_rotation(p1, d1, t1), hom_from_rotation(p2, d2, t2))
+            # The screw and the matrix product must move probe points identically.
+            probe = Vec3(*(rng.uniform(-2, 2) for _ in range(3)))
+            h_screw = hom_from_rotation(screw.axis.point, screw.axis.dir, screw.theta)
             slid = h_screw.apply(probe) + screw.axis.dir * screw.slide
             assert xyz(slid) == pytest.approx(xyz(h_pair.apply(probe)), abs=1e-9)
+
+    def test_opposite_turns_about_parallel_lines_are_a_translation(self):
+        # The unit directions differ by 1.7e-16: rounding, not a resultant turn.
+        d1 = make_unit(Vec3(0.3, -0.5, 0.8))
+        d2 = make_unit(Vec3(0.9, -1.5, 2.4))
+        assert d1 != d2
+        screw, delta = nonintersecting_pair(
+            Rotation(AxisLine(Vec3(0, 0, 0), d1), 0.7),
+            Rotation(AxisLine(Vec3(1, 2, 0), d2), -0.7),
+        )
+        assert screw.kind is ScrewKind.TRANSLATION
+        H = hom_compose(
+            hom_from_rotation(Vec3(0, 0, 0), d1, 0.7), hom_from_rotation(Vec3(1, 2, 0), d2, -0.7)
+        )
+        assert xyz(screw.translation) == xyz(delta) == pytest.approx(xyz(H.d), abs=1e-12)
 
 
 class TestCouples:

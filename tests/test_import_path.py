@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -65,3 +66,43 @@ def test_numpy_is_imported_only_by_the_oracle_and_the_checks():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.name)
     assert importers == {"oracle.py", "checks.py"}
+
+
+def _package_imports(path: Path) -> dict[str, set[str]]:
+    """The package modules a source file imports, each with the names taken
+    from it (an empty set for the module itself)."""
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+            for alias in node.names:
+                found.setdefault(alias.name, set())
+        elif isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module.startswith("screwalgebra.")):
+            found.setdefault(node.module.rpartition(".")[2], set()).update(
+                alias.name for alias in node.names
+            )
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("screwalgebra."):
+                    found.setdefault(alias.name.rpartition(".")[2], set())
+    return found
+
+
+def test_the_oracle_stays_independent():
+    package = SRC / "screwalgebra"
+    imports = {path.stem: _package_imports(path) for path in package.glob("*.py")}
+    # No library answer is computed by the oracle.
+    for module in set(imports) - {"__init__", "oracle", "checks", "cli"}:
+        assert "oracle" not in imports[module], module
+    # The CLI takes from it only what build_hom needs.
+    assert imports["cli"]["oracle"] == {
+        "HomTransform",
+        "IDENTITY_HOM",
+        "hom_compose",
+        "hom_from_rotation",
+        "hom_from_translation",
+    }
+    # The oracle takes from the library only value and error types, no formula.
+    for module, names in imports["oracle"].items():
+        source = importlib.import_module(f"screwalgebra.{module}")
+        for name in names:
+            assert isinstance(getattr(source, name), type), f"{module}.{name}"

@@ -72,6 +72,24 @@ class TestHomDisplacementRoundtrip:
                 xyz(delta), rel=1e-10, abs=1e-10
             )
 
+    def test_half_turn_displacement(self):
+        axis = make_unit(Vec3(2, -1, 2))
+        h = hom_from_rotation(Vec3(1, 2, -1), axis, math.pi)
+        got = hom_from_displacement(Displacement(w=0.0, v=axis, delta=h.d))
+        assert got.d == h.d
+        for row, expected in zip(got.R.rows, h.R.rows):
+            assert row == pytest.approx(expected, abs=1e-15)
+
+    def test_rotation_vector_matrix_keeps_its_bits(self):
+        # At w = 1 the angle is 2 atan(|q|/2) and the axis q/|q|, bit for bit.
+        rng = random.Random(71)
+        for _ in range(200):
+            q = GibbsVector(*(rng.uniform(-4, 4) for _ in range(3)))
+            expected = hom_from_rotation(
+                Vec3(0, 0, 0), make_unit(q.as_vec3()), 2.0 * math.atan(q.norm() / 2.0)
+            )
+            assert hom_from_displacement(Displacement(q, Vec3(0, 0, 0))).R == expected.R
+
     def test_half_turn_rejected(self):
         h = hom_from_rotation(Vec3(0, 0, 0), make_unit(Vec3(0, 0, 1)), math.pi)
         with pytest.raises(TraceSingular):
