@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 from .checks import TOL_REFERENCE, run_all
 from .compose import compose_displacements
-from .core import ZERO_CUT, Vec3, make_unit
+from .core import ZERO_CUT, Rotation, Vec3, make_unit
 from .errors import (
     CollinearPoints,
     CoplanarPoints,
@@ -127,7 +127,7 @@ def parse_motion_file(text: str) -> list[MotionRecord]:
         if kind == "rot":
             dx, dy, dz = values[:3]
             # make_unit's cut on |axis|, so _record_displacement cannot raise.
-            if not ZERO_CUT < math.sqrt(dx * dx + dy * dy + dz * dz) < math.inf:
+            if not ZERO_CUT < Vec3(dx, dy, dz).norm() < math.inf:
                 raise ParseError("rot axis direction is zero or overflows", line=lineno)
         records.append(record)
     if not records:
@@ -207,6 +207,12 @@ def _fmt_vec(v: Vec3) -> str:
 
 def _emit(key: str, value: str) -> None:
     print(f"{key}={value}")
+
+
+def _emit_rotation(key: str, r: Rotation, radians: bool) -> None:
+    _emit(f"{key}.point", _fmt_vec(r.line.point))
+    _emit(f"{key}.dir", _fmt_vec(r.line.dir))
+    _emit(f"{key}.angle", _fmt(_from_radians(r.angle, radians)))
 
 
 def _emit_screw(s: Screw, radians: bool) -> None:
@@ -318,18 +324,12 @@ def cmd_decompose(args) -> int:
             "degenerate.reason",
             "slide is zero: the motion is the single rotation printed as lineA",
         )
-        _emit("lineA.point", _fmt_vec(pair.line_a.line.point))
-        _emit("lineA.dir", _fmt_vec(pair.line_a.line.dir))
-        _emit("lineA.angle", _fmt(_from_radians(pair.line_a.angle, args.radians)))
+        _emit_rotation("lineA", pair.line_a, args.radians)
         return EXIT_DEGENERATE
 
     inv = conjugate_invariant(pair.line_a, pair.line_b)
-    _emit("lineA.point", _fmt_vec(pair.line_a.line.point))
-    _emit("lineA.dir", _fmt_vec(pair.line_a.line.dir))
-    _emit("lineA.angle", _fmt(_from_radians(pair.line_a.angle, args.radians)))
-    _emit("lineB.point", _fmt_vec(pair.line_b.line.point))
-    _emit("lineB.dir", _fmt_vec(pair.line_b.line.dir))
-    _emit("lineB.angle", _fmt(_from_radians(pair.line_b.angle, args.radians)))
+    _emit_rotation("lineA", pair.line_a, args.radians)
+    _emit_rotation("lineB", pair.line_b, args.radians)
     _emit("invariant.lhs", _fmt(inv.lhs))
     _emit("invariant.rhs", _fmt(inv.rhs))
     _emit("invariant.difference", _fmt(abs(inv.lhs - inv.rhs)))

@@ -265,20 +265,17 @@ def translation_as_couple(t: Vec3, thetaB: float, psi: float) -> Couple:
     of +y when t is parallel to x); its first axis passes through the
     origin. The separation of the two axes is |t| / (2 sin(thetaB/2)),
     which is why thetaB below 1e-6 is rejected (the axes recede to
-    infinity). Raises ZeroTranslation for |t| = 0.
+    infinity). |t| is Vec3.norm, so every finite t has one. Raises
+    ZeroTranslation for |t| <= 1e-12.
     """
-    mag, unit = t.norm(), t
-    if mag == math.inf:  # |t|^2 overflows; t over its largest component does not
-        big = max(abs(t.x), abs(t.y), abs(t.z))
-        unit = t / big
-        mag = big * unit.norm()
+    mag = t.norm()
     if mag <= ZERO_CUT:
         raise ZeroTranslation("cannot represent a zero translation as a couple")
     if not (MIN_COUPLE_ANGLE <= thetaB < math.pi):
         raise DegenerateInput(
             f"couple angle must lie in [{MIN_COUPLE_ANGLE}, pi); got {thetaB}"
         )
-    t_hat = make_unit(unit)
+    t_hat = make_unit(t)
     ref = Vec3(1.0, 0.0, 0.0) - t_hat * t_hat.x
     if ref.norm() <= DEGENERATE_CUT:
         ref = Vec3(0.0, 1.0, 0.0) - t_hat * t_hat.y

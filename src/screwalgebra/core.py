@@ -23,7 +23,7 @@ CHORD_TOL = 1e-10  # relative chord residual that rounding of an exact fit stays
 RIGIDITY_TOL = 1e-6  # set by measurement noise: relative distance change still rigid
 MIN_COUPLE_ANGLE = 1e-6  # below it a couple's axes sit over 1e6 |t| apart
 SCALE_FLOOR = 1e-30  # below any real data scale: acts only when every point is at 0
-UNDERFLOW_CUT = 1e-150  # squares to 1e-300, near 2.2e-308, below which squares lose bits
+UNDERFLOW_CUT = 1e-150  # squares to 1e-300, near 2.2e-308: Vec3.norm takes shorter lengths by hypot
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,7 +66,12 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        """sqrt(x^2 + y^2 + z^2), the package's one length rule: hypot takes
+        every length whose squares overflow or lose bits (below 1e-150)."""
+        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        if UNDERFLOW_CUT <= n < math.inf:
+            return n
+        return math.hypot(self.x, self.y, self.z)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -97,27 +102,26 @@ class UnitVec3(Vec3):
 
 
 def make_unit(v: Vec3) -> UnitVec3:
-    """Normalize v to unit length.
+    """Normalize v to unit length, its length taken by Vec3.norm.
 
-    Raises ZeroVector when |v| <= 1e-12 and ValueError when |v| overflows.
+    Raises ZeroVector when |v| <= 1e-12, and ValueError when |v| is past
+    the largest float, about 1.8e308.
     """
-    n = v.norm()
-    if n <= ZERO_CUT:
-        raise ZeroVector(f"cannot normalize near-zero vector {v.as_tuple()}")
-    if n == math.inf:
-        raise ValueError(f"non-finite component: the length of {v.as_tuple()} overflows")
-    return UnitVec3(v.x / n, v.y / n, v.z / n)
+    return UnitVec3(*_unit_components(v.x, v.y, v.z))
 
 
 def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
     """The components of make_unit(Vec3(x, y, z)), without building either.
 
-    Raises where that expression raises: ZeroVector at length <= 1e-12,
-    ValueError for a non-finite component or a length that overflows.
+    Raises as make_unit does, and ValueError for a non-finite component.
     """
     n = math.sqrt(x * x + y * y + z * z)
-    if not ZERO_CUT < n < math.inf:
-        return make_unit(Vec3(x, y, z)).as_tuple()
+    if not ZERO_CUT < n < math.inf:  # inside, this root is Vec3.norm bit for bit
+        n = Vec3(x, y, z).norm()
+        if n <= ZERO_CUT:
+            raise ZeroVector(f"cannot normalize near-zero vector {(x, y, z)}")
+        if n == math.inf:
+            raise ValueError(f"non-finite component: the length of {(x, y, z)} overflows")
     return x / n, y / n, z / n
 
 

@@ -56,8 +56,9 @@ def _trig_matrix(axis: Vec3, theta: float) -> RotationMatrix:
 
 
 def hom_from_rotation(point: Vec3, axis: UnitVec3, theta: float) -> HomTransform:
-    """Affine form of a rotation about the line (point, axis)."""
-    R = _trig_matrix(axis, theta)
+    """Affine form of a rotation about the line (point, axis); theta is first
+    reduced exactly into [-pi, pi], so a whole number of turns gives R = I."""
+    R = _trig_matrix(axis, math.remainder(theta, 2.0 * math.pi))
     return HomTransform(R, point - R.apply(point))
 
 

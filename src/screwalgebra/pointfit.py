@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .core import CHORD_TOL, DEGENERATE_CUT, RIGIDITY_TOL, UNDERFLOW_CUT, Vec3, _unit_components
+from .core import CHORD_TOL, DEGENERATE_CUT, RIGIDITY_TOL, Vec3, _unit_components
 from .errors import CollinearPoints, CoplanarPoints, NonRigidData, TooFewPoints
 from .rotation import Displacement, GibbsVector, RotationMatrix, gibbs_from_matrix
 
@@ -33,20 +33,14 @@ class RigidityReport(NamedTuple):
 
 
 def _pair_distances(points: Sequence[Vec3]) -> list[float]:
-    """|p_i - p_j| for every pair i < j, in row order.
-
-    A distance under 1e-150 is taken again by hypot, whose squares of the
-    differences cannot underflow.
-    """
+    """|p_i - p_j| for every pair i < j, in row order, taken by hypot."""
     out = []
     for i, p in enumerate(points):
         px, py, pz = p.x, p.y, p.z
         for r in points[i + 1 :]:
             dx, dy, dz = px - r.x, py - r.y, pz - r.z
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d < UNDERFLOW_CUT:
-                d = math.hypot(dx, dy, dz)
-            elif not d < math.inf:
+            d = math.hypot(dx, dy, dz)
+            if not d < math.inf:
                 p - r  # an overflowed difference raises, as Vec3 arithmetic does
             out.append(d)
     return out
@@ -59,7 +53,7 @@ def _distance_change(
 
     ``before`` holds the before-distances in _pair_distances order. Returns
     None as soon as one pair changes by more than ``limit``; the pairs after
-    it are not evaluated. Short distances are taken as in _pair_distances.
+    it are not evaluated. Distances are taken as in _pair_distances.
     """
     worst = 0.0
     k = 0
@@ -69,10 +63,8 @@ def _distance_change(
         for other in corrs[i + 1 :]:
             b = other.after
             dx, dy, dz = ax - b.x, ay - b.y, az - b.z
-            d1 = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d1 < UNDERFLOW_CUT:
-                d1 = math.hypot(dx, dy, dz)
-            elif not d1 < math.inf:
+            d1 = math.hypot(dx, dy, dz)
+            if not d1 < math.inf:
                 a - b  # an overflowed difference raises, as Vec3 arithmetic does
             change = abs(d1 - before[k])
             k += 1
@@ -205,7 +197,7 @@ def _verify_chord_equations(
         rx = dx - (qy * wz - qz * wy)
         ry = dy - (qz * wx - qx * wz)
         rz = dz - (qx * wy - qy * wx)
-        resid = math.sqrt(rx * rx + ry * ry + rz * rz)
+        resid = math.hypot(rx, ry, rz)
         if not resid < math.inf:
             # An overflowed chord or midpoint sum raises Vec3's ValueError.
             for p in (corrs[0], c):

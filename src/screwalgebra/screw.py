@@ -194,13 +194,15 @@ def conjugate_pair_decompose(S: Screw, thetaB: float, psi: float) -> ConjugatePa
     line_a then line_b reproduces the screw.
 
     A zero-slide screw is already a single rotation: the result is then
-    (that rotation, a zero-angle rotation, degenerate=True).
+    (that rotation, a zero-angle rotation, degenerate=True); a slide is zero
+    up to 1e-12 max(1, |delta|), |delta| = hypot(slide, 2 sin(theta/2) |axis point|).
     """
     if S.kind is not ScrewKind.GENERAL:
         raise DegenerateInput("only a general screw splits into a rotation pair")
     c_hat = S.axis.dir
     anchor = S.axis.point
-    if abs(S.slide) <= ZERO_CUT:
+    origin_move = math.hypot(S.slide, 2.0 * math.sin(S.theta / 2.0) * anchor.norm())
+    if abs(S.slide) <= ZERO_CUT * max(1.0, origin_move):
         return ConjugatePair(
             Rotation(S.axis, S.theta),
             Rotation(AxisLine(anchor, c_hat), 0.0),

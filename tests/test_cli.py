@@ -295,6 +295,22 @@ class TestCompose:
         assert vec(report, "axis.dir") == pytest.approx((0.0, 0.5**0.5, 0.5**0.5), abs=1e-12)
         assert vec(report, "delta") == (0.0, 1.5e308, -1.5e308)
 
+    def test_translation_too_short_to_square(self, tmp_path, capsys):
+        src = tmp_path / "m.txt"
+        src.write_text("trans 1e-170 0 0\n")
+        code, report = run_cli(capsys, "compose", str(src))
+        assert code == 0
+        assert (report["kind"], report["translation"]) == ("translation", "1e-170,0,0")
+
+    def test_axis_too_long_to_square(self, tmp_path, capsys):
+        reports = []
+        for axis in ("1e200 0 0", "1 0 0"):
+            src = tmp_path / "m.txt"
+            src.write_text(f"rot {axis} 0 0 0 90\n")
+            assert main(["compose", str(src)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_radians_flag(self, tmp_path, capsys):
         src = tmp_path / "m.txt"
         src.write_text(f"rot 0 0 1 0 0 0 {math.pi / 2}\ntrans 0 0 2\n")
@@ -374,6 +390,27 @@ class TestDecompose:
         assert code == 4
         assert report["degenerate"] == "true"
         assert "lineA.dir" in report
+
+    def test_rounding_slide_far_from_the_origin_is_degenerate(self, tmp_path, capsys):
+        # A pure rotation whose axis passes 3e11 from the origin: its slide
+        # is rounding of that size (4e-6), not a screw's slide.
+        text = (
+            "rot 0.031387 1.629743 -0.098972  "
+            "-3.71077e+10 -2.46469e+10 2.75269e+11  294.424706\n"
+        )
+        src = tmp_path / "m.txt"
+        src.write_text(text)
+        code, report = run_cli(capsys, "decompose", str(src))
+        assert code == 4
+        assert report["degenerate"] == "true"
+        line_a = hom_from_rotation(
+            Vec3(*vec(report, "lineA.point")),
+            make_unit(Vec3(*vec(report, "lineA.dir"))),
+            math.radians(float(report["lineA.angle"])),
+        )
+        H = build_hom(parse_motion_file(text), False)
+        for p in PROBES:
+            assert xyz(line_a.apply(p)) == pytest.approx(xyz(H.apply(p)), rel=0, abs=1e-9 * 3e11)
 
 
 class TestFit:
@@ -471,12 +508,12 @@ class TestFit:
         "rows",
         [
             # The base differences overflow: fit_displacement raises.
-            "1e200,-1e200,1e200,1e200,-1e200,1e200\n"
-            "-1e200,1e200,1e200,-1e200,1e200,1e200\n"
-            "1e200,1e200,-1e200,1e200,1e200,-1e200\n",
-            # Only a pairwise distance of the last two rows overflows: check_rigidity raises.
+            "1e308,-1e308,1e308,1e308,-1e308,1e308\n"
+            "-1e308,1e308,1e308,-1e308,1e308,1e308\n"
+            "1e308,1e308,-1e308,1e308,1e308,-1e308\n",
+            # Only the difference of the last two rows overflows: check_rigidity raises.
             "0,0,0,0,0,0\n1,0,0,1,0,0\n0,1,0,0,1,0\n"
-            "0,0,1e200,0,0,1e200\n0,0,-1e200,0,0,-1e200\n",
+            "0,0,1e308,0,0,1e308\n0,0,-1e308,0,0,-1e308\n",
         ],
         ids=["fit", "rigidity"],
     )
@@ -487,6 +524,18 @@ class TestFit:
         assert code == 2
         assert report["error"] == "range"
         assert "non-finite" in report["error.message"]
+
+    @pytest.mark.parametrize("flip, expected", [(1, 0), (-1, 5)], ids=["proper", "mirrored"])
+    def test_tetrahedron_too_large_to_square_fits(self, flip, expected, tmp_path, capsys):
+        # Every squared difference overflows; the differences and distances do not.
+        corners = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
+        src = tmp_path / "points.csv"
+        rows = (f"{x}e200,{y}e200,{z}e200,{x}e200,{y}e200,{flip * z}e200\n" for x, y, z in corners)
+        src.write_text("".join(rows))
+        code, report = run_cli(capsys, "fit", str(src))
+        assert code == expected
+        assert report["rigidity.rigid"] == "true"
+        assert report["rigidity.proper"] == ("true" if flip == 1 else "false")
 
 
 class TestCheck:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from screwalgebra import (
     distance_between_lines,
     make_unit,
 )
+from screwalgebra.core import _unit_components
 from _util import xyz
 
 
@@ -50,6 +52,20 @@ class TestVec3:
         with pytest.raises(ValueError):
             Vec3(0.0, float("inf"), 0.0)
 
+    def test_norm_is_the_root_of_the_squares_where_they_fit(self):
+        # In [1e-150, inf) the length keeps the bits of sqrt(x^2 + y^2 + z^2);
+        # outside that range the squares overflow or lose bits, and hypot takes it.
+        rng = random.Random(83)
+        branches = set()
+        for _ in range(3000):
+            size = 10.0 ** rng.uniform(-320.0, 308.0)
+            x, y, z = (rng.uniform(-1.0, 1.0) * size for _ in range(3))
+            root = math.sqrt(x * x + y * y + z * z)
+            in_range = 1e-150 <= root < math.inf
+            branches.add(in_range)
+            assert Vec3(x, y, z).norm() == (root if in_range else math.hypot(x, y, z))
+        assert branches == {True, False}
+
 
 class TestUnitVec3:
     def test_rejects_non_unit(self):
@@ -68,6 +84,20 @@ class TestUnitVec3:
     def test_make_unit_rejects_zero(self):
         with pytest.raises(ZeroVector):
             make_unit(Vec3(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("size", [1e-11, 1.0, 1e154, 1e200, 1e308])
+    def test_make_unit_takes_every_finite_length(self, size):
+        u = make_unit(Vec3(0.6 * size, 0.0, -0.8 * size))
+        assert xyz(u) == pytest.approx((0.6, 0.0, -0.8), abs=1e-15)
+
+    def test_make_unit_limits(self):
+        with pytest.raises(ZeroVector):
+            make_unit(Vec3(1e-13, 0.0, 0.0))
+        with pytest.raises(ValueError, match="overflows"):
+            make_unit(Vec3(1.5e308, 1.5e308, 0.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"non-finite component in \("):
+                _unit_components(0.0, bad, 1.0)
 
 
 class TestRotation:

@@ -40,6 +40,13 @@ class TestHomTransforms:
             (2.0, 1.0, 0.0), abs=1e-14
         )
 
+    def test_whole_turn_moves_no_point(self):
+        # The angle is reduced before its cosine and sine are taken: sin(2 pi)
+        # would otherwise move a point 1e283 from the axis by 2.4e267.
+        h = hom_from_rotation(Vec3(1e283, 0, 0), make_unit(Vec3(0, 0, 1)), math.radians(360.0))
+        assert h.R.rows == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert xyz(h.d) == (0.0, 0.0, 0.0)
+
     def test_translation(self):
         h = hom_from_translation(Vec3(1, -2, 3))
         assert xyz(h.apply(Vec3(10, 10, 10))) == (11.0, 8.0, 13.0)

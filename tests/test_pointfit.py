@@ -192,34 +192,26 @@ def _half_turn_z(points):
 BIG, TINY = 1e200, 1e-200
 TET = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
 
+
+def _tetrahedron(size):
+    return [(size, -size, size), (-size, size, size), (size, size, -size), (-size, -size, -size)]
+
+
+def _mirrored(points):
+    return _corrs([(p, (p[0], p[1], -p[2])) for p in points])
+
+
 # name -> (points, what fit_displacement does, what check_rigidity does)
 CASES = {
-    "huge": (
-        _same([(BIG, -BIG, BIG), (-BIG, BIG, BIG), (BIG, BIG, -BIG), (-BIG, -BIG, -BIG)]),
-        ValueError,
-        ValueError,
-    ),
-    "huge-mirrored": (
-        _corrs(
-            [
-                ((BIG, -BIG, BIG), (BIG, -BIG, -BIG)),
-                ((-BIG, BIG, BIG), (-BIG, BIG, -BIG)),
-                ((BIG, BIG, -BIG), (BIG, BIG, BIG)),
-                ((-BIG, -BIG, -BIG), (-BIG, -BIG, BIG)),
-            ]
-        ),
-        ValueError,
-        ValueError,
-    ),
+    # Differences of 2e308 overflow.
+    "huge": (_same(_tetrahedron(1e308)), ValueError, ValueError),
+    "huge-mirrored": (_mirrored(_tetrahedron(1e308)), ValueError, ValueError),
+    # Squared differences overflow; the distances, taken by hypot, do not.
+    "large": (_same(_tetrahedron(BIG)), Displacement, RigidityReport),
+    "large-mirrored": (_mirrored(_tetrahedron(BIG)), Displacement, RigidityReport),
     # Squared differences underflow; the distances are taken by hypot, and
     # the fit measures its edges in units of the spread.
-    "tiny": (
-        _same(
-            [(TINY, -TINY, TINY), (-TINY, TINY, TINY), (TINY, TINY, -TINY), (-TINY, -TINY, -TINY)]
-        ),
-        Displacement,
-        RigidityReport,
-    ),
+    "tiny": (_same(_tetrahedron(TINY)), Displacement, RigidityReport),
     # A subnormal spread: its edge unit 2^1029 would overflow, so it is capped.
     "subnormal": (
         _same([tuple(c * 1e-310 for c in p) for p in TET]), Displacement, RigidityReport
@@ -253,8 +245,7 @@ CASES = {
         ValueError,
         ValueError,
     ),
-    # The first after-difference overflows; the before-distances are finite
-    # for the fit and infinite (so no distance test can fail) for the rigidity check.
+    # The first after-difference overflows; every before-distance is finite.
     "overflowing-after": (
         _corrs(
             [
@@ -312,11 +303,13 @@ def test_rigidity_verdicts_of_the_regular_cases():
     assert check_rigidity(CASES["short-edge"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["half-turn"][0]) == RigidityReport(rigid=True, proper=True)
     assert check_rigidity(CASES["wide"][0]) == RigidityReport(rigid=True, proper=True)
+    assert check_rigidity(CASES["large"][0]) == RigidityReport(rigid=True, proper=True)
+    assert check_rigidity(CASES["large-mirrored"][0]) == RigidityReport(rigid=True, proper=False)
 
 
 def test_tiny_tetrahedron_is_rigid_not_coplanar():
     # Every pairwise distance of the 1e-200 tetrahedron underflows when squared;
-    # taken again by hypot, it keeps its volume and its verdict.
+    # taken by hypot, it keeps its volume and its verdict.
     assert check_rigidity(CASES["tiny"][0]) == RigidityReport(rigid=True, proper=True)
 
 

@@ -62,6 +62,29 @@ def test_core_holds_threshold_literals_only_in_its_table():
             assert "#" in lines[stmt.lineno - 1], stmt.targets[0].id
 
 
+def _underflow_cut_reads(node: ast.AST) -> list[ast.AST]:
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id == "UNDERFLOW_CUT" and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute) and n.attr == "UNDERFLOW_CUT"
+        or isinstance(n, ast.alias) and n.name == "UNDERFLOW_CUT"
+    ]
+
+
+def test_only_vec3_norm_reads_the_underflow_cut():
+    # One length rule: no module takes a length its own way around Vec3.norm.
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        expected = []
+        if path.stem == "core":
+            (vec3,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Vec3")
+            (norm,) = (n for n in vec3.body if isinstance(n, ast.FunctionDef) and n.name == "norm")
+            expected = _underflow_cut_reads(norm)
+            assert expected
+        assert _underflow_cut_reads(tree) == expected, path.stem
+
+
 # (axis direction, whether the half turn keeps it) for the shared rule: the first
 # component larger than 1e-12 in size is positive.
 HALF_TURN_AXES = [
