@@ -9,6 +9,8 @@ a slide along it. The oracle module provides an independent matrix-based
 verification path, and the checks module a seeded property suite.
 """
 
+import importlib
+
 from .core import (
     AxisLine,
     Rotation,
@@ -88,28 +90,52 @@ from .pointfit import (
     check_rigidity,
     fit_displacement,
 )
-from .infinitesimal import (
-    PointForce,
-    compose_twists,
-    force_equilibrium,
-    parallel_rotation_center,
-    rotation_moment,
-    twist_equilibrium,
-    twist_field,
-    twist_of_rotation,
-    virtual_work,
-)
-from .oracle import (
-    HomTransform,
-    displacement_from_hom,
-    gibbs_by_midpoint_elimination,
-    hom_compose,
-    hom_from_displacement,
-    hom_from_rotation,
-    hom_from_translation,
-    screw_from_hom_bruteforce,
-)
-from .checks import CheckResult, run_all
+
+# The twist layer, the oracle and the checks run in none of compose,
+# decompose and fit; their exports load with the module on first use.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "PointForce",
+            "compose_twists",
+            "force_equilibrium",
+            "parallel_rotation_center",
+            "rotation_moment",
+            "twist_equilibrium",
+            "twist_field",
+            "twist_of_rotation",
+            "virtual_work",
+        ),
+        "infinitesimal",
+    ),
+    **dict.fromkeys(
+        (
+            "HomTransform",
+            "displacement_from_hom",
+            "gibbs_by_midpoint_elimination",
+            "hom_compose",
+            "hom_from_displacement",
+            "hom_from_rotation",
+            "hom_from_translation",
+            "screw_from_hom_bruteforce",
+        ),
+        "oracle",
+    ),
+    **dict.fromkeys(("CheckResult", "run_all"), "checks"),
+}
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name, name)
+    if module_name not in _LAZY.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{module_name}")
+    return getattr(module, name) if name in _LAZY else module
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})
+
 
 __version__ = "0.1.0"
 

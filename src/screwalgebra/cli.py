@@ -19,9 +19,8 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-from .checks import TOL_REFERENCE, run_all
 from .compose import compose_displacements
 from .core import ZERO_CUT, Rotation, Vec3, make_unit
 from .errors import (
@@ -34,13 +33,6 @@ from .errors import (
     TraceSingular,
     ZeroVector,
 )
-from .oracle import (
-    HomTransform,
-    IDENTITY_HOM,
-    hom_compose,
-    hom_from_rotation,
-    hom_from_translation,
-)
 from .pointfit import Correspondence, check_rigidity, fit_displacement
 from .rotation import Displacement, GIBBS_ZERO, displacement_of_rotation
 from .screw import (
@@ -50,6 +42,9 @@ from .screw import (
     conjugate_pair_decompose,
     screw_from_displacement,
 )
+
+if TYPE_CHECKING:
+    from .oracle import HomTransform
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -166,6 +161,8 @@ def _record_displacement(rec: MotionRecord, radians: bool) -> Displacement:
 
 
 def _record_hom(rec: MotionRecord, radians: bool) -> HomTransform:
+    from .oracle import hom_from_rotation, hom_from_translation
+
     if isinstance(rec, TransRecord):
         return hom_from_translation(Vec3(rec.tx, rec.ty, rec.tz))
     axis = make_unit(Vec3(rec.dx, rec.dy, rec.dz))
@@ -187,6 +184,8 @@ def build_displacement(records: Sequence[MotionRecord], radians: bool) -> Displa
 
 def build_hom(records: Sequence[MotionRecord], radians: bool) -> HomTransform:
     """Matrix-path fold of the same records: the oracle's reference for them."""
+    from .oracle import IDENTITY_HOM, hom_compose
+
     acc = IDENTITY_HOM
     for rec in records:
         acc = hom_compose(acc, _record_hom(rec, radians))
@@ -417,7 +416,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    results = run_all(seed=args.seed, samples=args.samples, tol=args.tol)
+    from .checks import TOL_REFERENCE, run_all
+
+    tol = TOL_REFERENCE if args.tol is None else args.tol
+    results = run_all(seed=args.seed, samples=args.samples, tol=tol)
     failed = 0
     for res in results:
         _emit(f"check.{res.name}", "pass" if res.passed else "FAIL")
@@ -442,7 +444,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, root: bool) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=TOL_REFERENCE if root else suppress,
+        default=None if root else suppress,
         help="comparison tolerance for check (default 1e-9); other subcommands ignore it",
     )
     parser.add_argument(

@@ -132,7 +132,7 @@ def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
     ) / 2.0
     theta = math.atan2(float(np.linalg.norm(skew)), (tr - 1.0) / 2.0)
     if theta <= _ZERO_ANGLE_TOL:
-        if float(np.linalg.norm(d)) == 0.0:
+        if not d.any():  # exact: a norm would square a tiny slide to 0
             return Screw.identity()
         return Screw.pure_translation(H.d)
 

@@ -550,6 +550,14 @@ class TestCheck:
         main(["check", "--samples", "10", "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+        # With no --tol the report is the one at the documented default,
+        # whichever side of the subcommand the flag is written on.
+        for argv in (
+            ["--tol", "1e-9", "check", "--samples", "10", "--seed", "3"],
+            ["check", "--samples", "10", "--seed", "3", "--tol", "1e-9"],
+        ):
+            main(argv)
+            assert capsys.readouterr().out == first
 
     def test_hostile_tolerance_fails_loudly(self, capsys):
         code, report = run_cli(

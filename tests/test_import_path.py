@@ -41,15 +41,85 @@ def test_half_turn_reports_do_not_load_numpy(tmp_path):
     # parameters, not from the numpy oracle.
     src = tmp_path / "half-turn.txt"
     src.write_text("rot 0 0 1  1 2 0  180\ntrans 0 0 3\n")
+    plain = tmp_path / "quarter-turn.txt"
+    plain.write_text("rot 0 0 1  1 2 0  90\ntrans 0 0 3\n")
+    points = tmp_path / "points.csv"
+    points.write_text("0,0,0,1,0,0\n1,0,0,1,1,0\n0,1,0,0,0,0\n0,0,1,1,0,1\n")
+    runs = [
+        (command, str(path))
+        for path in (src, plain)
+        for command in ("compose", "decompose")
+    ] + [("fit", str(points))]
     probe = _run(
         "-c",
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from screwalgebra.cli import main\n"
-        f"codes = [main([command, {str(src)!r}]) for command in ('compose', 'decompose')]\n"
-        "print(codes, 'numpy' in sys.modules)",
+        f"codes = [main(list(run)) for run in {runs!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'screwalgebra')\n"
+        "print(*codes, 'numpy' in sys.modules, 'hashlib' in sys.modules, *loaded)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['check', '--samples', '5'])\n"
+        "print('screwalgebra.checks' in sys.modules)",
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.splitlines()[-1] == "[3, 3] False"
+    first, checked = probe.stdout.splitlines()[-2:]
+    # The three rational subcommands load neither the oracle, nor the checks
+    # and their hashlib, nor the twist layer.
+    assert first.split() == [
+        "3", "3", "0", "0", "0", "False", "False",
+        "screwalgebra",
+        "screwalgebra.cli",
+        "screwalgebra.compose",
+        "screwalgebra.core",
+        "screwalgebra.errors",
+        "screwalgebra.pointfit",
+        "screwalgebra.rotation",
+        "screwalgebra.screw",
+    ]
+    assert checked == "True"
+
+
+LAZY_EXPORTS = """
+import importlib, sys
+import screwalgebra
+
+lazy = {"screwalgebra.infinitesimal", "screwalgebra.oracle", "screwalgebra.checks"}
+assert not lazy & set(sys.modules)
+# dir() lists every export without loading its module.
+assert {*screwalgebra.__all__, "infinitesimal", "oracle", "checks"} <= set(dir(screwalgebra))
+assert not lazy & set(sys.modules)
+
+for name in screwalgebra.__all__:
+    value = getattr(screwalgebra, name)
+    assert getattr(importlib.import_module(value.__module__), name) is value, name
+assert lazy <= set(sys.modules)
+
+namespace = {}
+exec("from screwalgebra import *", namespace)
+assert {name: namespace[name] for name in screwalgebra.__all__} == {
+    name: getattr(screwalgebra, name) for name in screwalgebra.__all__
+}
+
+from screwalgebra import checks, oracle
+assert checks is sys.modules["screwalgebra.checks"]
+assert oracle is sys.modules["screwalgebra.oracle"]
+
+try:
+    screwalgebra.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown attribute resolved")
+print("ok")
+"""
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    # The twist layer, the oracle and the checks load on first use; every
+    # export still resolves to the object its module defines.
+    probe = _run("-c", LAZY_EXPORTS)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "ok"
 
 
 def test_numpy_is_imported_only_by_the_oracle_and_the_checks():

@@ -128,6 +128,12 @@ class TestScrewFromHomBruteforce:
         s = screw_from_hom_bruteforce(hom_from_translation(Vec3(3, 4, 0)))
         assert s.kind is ScrewKind.TRANSLATION
         assert xyz(s.translation) == pytest.approx((3.0, 4.0, 0.0), abs=1e-12)
+        # A slide whose squared length underflows is still a translation,
+        # as it is to the library.
+        tiny = Displacement(GibbsVector(0, 0, 0), Vec3(1e-170, 0, 0))
+        s = screw_from_hom_bruteforce(hom_from_displacement(tiny))
+        assert s.kind is screw_from_displacement(tiny).kind is ScrewKind.TRANSLATION
+        assert xyz(s.translation) == (1e-170, 0.0, 0.0)
 
     def test_identity(self):
         s = screw_from_hom_bruteforce(hom_from_translation(Vec3(0, 0, 0)))
