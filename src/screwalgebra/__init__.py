@@ -118,6 +118,7 @@ _LAZY = {
             "hom_from_rotation",
             "hom_from_translation",
             "screw_from_hom_bruteforce",
+            "screws_from_homs",
         ),
         "oracle",
     ),
@@ -219,6 +220,7 @@ __all__ = [
     "run_all",
     "screw_from_displacement",
     "screw_from_hom_bruteforce",
+    "screws_from_homs",
     "sine_proportionality",
     "three_axis_resultant",
     "translation_as_couple",

@@ -52,7 +52,8 @@ from .oracle import (
     hom_compose,
     hom_from_displacement,
     hom_from_rotation,
-    screw_from_hom_bruteforce,
+    screws_from_homs,
+    stacked_matmul,
     IDENTITY_HOM,
 )
 from .pointfit import Correspondence, fit_displacement
@@ -76,6 +77,9 @@ from .screw import (
 )
 
 TOL_REFERENCE = 1e-9  # the CLI --tol default; thresholds scale by tol / this
+# Samples per oracle call in the oracle checks. It bounds the stacked arrays'
+# memory and changes no result.
+ORACLE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,33 @@ def _rand_general_screw(rng: random.Random) -> Screw:
 
 def _rotate_about(line: AxisLine, angle: float, p: Vec3) -> Vec3:
     return line.point + rodrigues_rotate(line.dir, angle, p - line.point)
+
+
+def _against_oracle(n, draw, oracle, compare):
+    """Comparisons of n library samples with the oracle, ORACLE_CHUNK at a
+    time: draw(i) runs the library on sample i and returns (sample, oracle
+    input); one oracle call answers the whole chunk; compare(i, sample,
+    answer) yields the sample's comparisons, in sample order.
+
+    A draw that raises stops the drawing. The samples before it are still
+    compared and the error is raised after them, so an earlier failing
+    comparison wins, as it would sample by sample.
+    """
+    for start in range(0, n, ORACLE_CHUNK):
+        samples, inputs, failure = [], [], None
+        for i in range(start, min(n, start + ORACLE_CHUNK)):
+            try:
+                sample, query = draw(i)
+            except Exception as exc:
+                failure = exc
+                break
+            samples.append(sample)
+            inputs.append(query)
+        answers = oracle(inputs)
+        for i, (sample, answer) in enumerate(zip(samples, answers), start):
+            yield from compare(i, sample, answer)
+        if failure is not None:
+            raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +281,7 @@ def check_order_sensitivity(rng, n, k):
 
 
 def check_compose_vs_matrix_oracle(rng, n, k):
-    for i in range(n):
+    def draw(i):
         while True:
             q1 = _rand_gibbs(rng, 10.0)
             q2 = _rand_gibbs(rng, 10.0)
@@ -258,12 +289,17 @@ def check_compose_vs_matrix_oracle(rng, n, k):
             if abs(den) >= 1e-3:
                 break
         a = matrix_from_gibbs(compose_gibbs(q1, q2)).rows
-        b = matrix_from_gibbs(q2).matmul(matrix_from_gibbs(q1)).rows
+        return (q1, q2, a), (matrix_from_gibbs(q2), matrix_from_gibbs(q1))
+
+    def compare(i, sample, b):
+        q1, q2, a = sample
         dev = max(abs(a[r][c] - b[r][c]) for r in range(3) for c in range(3))
         yield dev, 1e-9 * k, lambda: (
             f"q1=({q1.m},{q1.n},{q1.p}) q2=({q2.m},{q2.n},{q2.p}) "
             f"matrix deviation {dev:.3e}"
         )
+
+    return _against_oracle(n, draw, stacked_matmul, compare)
 
 
 def check_couple_uniformity(rng, n, k):
@@ -289,7 +325,7 @@ def check_couple_uniformity(rng, n, k):
 
 
 def check_nonintersecting_slide_vs_oracle(rng, n, k):
-    for i in range(n):
+    def draw(i):
         while True:
             line1 = AxisLine(_rand_vec(rng, 2.0), _rand_unit(rng))
             line2 = AxisLine(_rand_vec(rng, 2.0), _rand_unit(rng))
@@ -312,11 +348,16 @@ def check_nonintersecting_slide_vs_oracle(rng, n, k):
             hom_from_rotation(line1.point, line1.dir, t1),
             hom_from_rotation(line2.point, line2.dir, t2),
         )
-        oracle = screw_from_hom_bruteforce(H)
+        return (line1, t1, line2, t2, screw), H
+
+    def compare(i, sample, oracle):
+        line1, t1, line2, t2, screw = sample
         yield abs(screw.slide - oracle.slide), 1e-9 * k * max(1.0, abs(oracle.slide)), lambda: (
             f"lines {line1}/{t1}, {line2}/{t2}: slide {screw.slide} vs oracle "
             f"{oracle.slide}"
         )
+
+    return _against_oracle(n, draw, screws_from_homs, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +640,7 @@ def check_center_representative_invariance(rng, n, k):
 
 
 def check_bruteforce_vs_closed_form(rng, n, k):
-    for i in range(n):
+    def draw(i):
         if i % 100 == 0:
             theta = 1e-6
         elif i % 100 == 1:
@@ -610,8 +651,10 @@ def check_bruteforce_vs_closed_form(rng, n, k):
             _rand_vec(rng, 3.0), _rand_unit(rng), theta, rng.uniform(-3.0, 3.0)
         )
         D = displacement_from_screw(S)
-        closed = screw_from_displacement(D)
-        brute = screw_from_hom_bruteforce(hom_from_displacement(D))
+        return (theta, screw_from_displacement(D)), hom_from_displacement(D)
+
+    def compare(i, sample, brute):
+        theta, closed = sample
         yield float(closed.kind != brute.kind), 0.0, lambda: f"screw #{i}: kinds {closed.kind} vs {brute.kind}"
         # An axis-point offset e moves the induced map by 2 sin(theta/2) |e|,
         # so that is the scale on which the two points can be compared: at
@@ -625,6 +668,8 @@ def check_bruteforce_vs_closed_form(rng, n, k):
             abs(closed.slide - brute.slide),
         )
         yield err, 1e-8 * k, lambda: f"screw #{i} (theta={theta}): oracle deviation {err:.3e}"
+
+    return _against_oracle(n, draw, screws_from_homs, compare)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import UnitVec3, Vec3
 from .errors import TraceSingular
@@ -112,8 +113,32 @@ def hom_compose(H1: HomTransform, H2: HomTransform) -> HomTransform:
     return HomTransform(H2.R.matmul(H1.R), H2.R.apply(H1.d) + H2.d)
 
 
-def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
-    """Screw parameters of an affine rigid map, by generic linear algebra.
+def stacked_matmul(
+    pairs: Sequence[tuple[RotationMatrix, RotationMatrix]]
+) -> list[list[list[float]]]:
+    """The rows of A.matmul(B) for every pair (A, B), as one stacked product.
+
+    Each entry is accumulated as 0 + A[i0] B[0j] + A[i1] B[1j] + A[i2] B[2j],
+    in RotationMatrix.matmul's order, so every product keeps its bits.
+    """
+    import numpy as np
+
+    A = np.array([a.rows for a, _ in pairs]).reshape(-1, 3, 3)
+    B = np.array([b.rows for _, b in pairs]).reshape(-1, 3, 3)
+    P = 0.0
+    for k in range(3):
+        P = P + A[:, :, k, None] * B[:, None, k, :]
+    return P.tolist()
+
+
+def _dots(a, b):
+    """Row-wise dot products of two (n, 3) stacks, with the bits of a @ b on
+    each single row (a plain sum or einsum rounds differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def screws_from_homs(homs: Sequence[HomTransform]) -> list[Screw]:
+    """Screw parameters of affine rigid maps, by generic linear algebra.
 
     The axis direction is the eigenvector of R for eigenvalue 1 (smallest
     singular direction of R - I); the angle comes from trace and skew part;
@@ -121,54 +146,76 @@ def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
     (R - I) p = -(d - (d.axis) axis), which is the foot of the
     perpendicular from the origin; the slide is d.axis. Identity and pure
     translations are returned as their own variants.
+
+    The maps are stacked and go through one SVD call; each screw has the
+    bits it would have alone, so screw_from_hom_bruteforce is the one-map
+    call of this function.
     """
     import numpy as np
 
-    R = np.array(H.R.rows)
-    d = np.array(H.d.as_tuple())
-    tr = float(np.trace(R))
-    skew = np.array(
-        [R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]
+    R = np.array([H.R.rows for H in homs]).reshape(-1, 3, 3)
+    d = np.array([H.d.as_tuple() for H in homs]).reshape(-1, 3)
+    tr = np.trace(R, axis1=1, axis2=2)
+    skew = np.stack(
+        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]],
+        axis=1,
     ) / 2.0
-    theta = math.atan2(float(np.linalg.norm(skew)), (tr - 1.0) / 2.0)
-    if theta <= _ZERO_ANGLE_TOL:
-        if not d.any():  # exact: a norm would square a tiny slide to 0
-            return Screw.identity()
-        return Screw.pure_translation(H.d)
+    # math.atan2 per map: np.arctan2 rounds differently.
+    theta = np.array([
+        math.atan2(s, (t - 1.0) / 2.0)
+        for s, t in zip(np.sqrt(_dots(skew, skew)).tolist(), tr.tolist())
+    ])
 
+    # Identity and pure translations take no SVD.
+    turning = theta > _ZERO_ANGLE_TOL
+    R, d, skew, theta = R[turning], d[turning], skew[turning], theta[turning]
     u, sv, vt = np.linalg.svd(R - np.eye(3))
-    axis = vt[-1]
+    axis = vt[:, -1]
     # The skew part fixes the sign down to |sin theta| ~ 1e-12, still three
     # orders above matrix noise; beyond that the half-turn tie-break applies,
-    # matching the Screw canonical form.
-    if theta < math.pi - 1e-12:
-        if float(axis @ skew) < 0.0:
-            axis = -axis
-    else:
-        for c in axis:
-            if abs(c) > 1e-12:
-                if c < 0.0:
-                    axis = -axis
-                break
-    slide = float(d @ axis)
-    perp = d - slide * axis
+    # matching the Screw canonical form: the first component past 1e-12
+    # is made positive.
+    significant = np.abs(axis) > 1e-12
+    first = axis[np.arange(len(axis)), significant.argmax(axis=1)]
+    flip = np.where(
+        theta < math.pi - 1e-12,
+        _dots(axis, skew) < 0.0,
+        significant.any(axis=1) & (first < 0.0),
+    )
+    axis = np.where(flip[:, None], -axis, axis)
+    slide = _dots(d, axis)
+    perp = d - slide[:, None] * axis
     # Minimum-norm solution of (R - I) p = -perp from the two genuine
     # singular directions only; the third is pure rounding noise and at
     # small angles it sits above lstsq's default cutoff, so cutting by
     # index (rank is exactly 2 for any non-identity rotation) is the
-    # reliable way to keep the axis component out of the solution.
-    point = sum(
-        (float(u[:, i] @ -perp) / sv[i]) * vt[i] for i in range(2)
-    )
-    a = Vec3(float(axis[0]), float(axis[1]), float(axis[2]))
-    n = a.norm()
-    direction = UnitVec3(a.x / n, a.y / n, a.z / n)
-    return Screw.general(
-        Vec3(float(point[0]), float(point[1]), float(point[2])),
-        direction,
-        theta,
-        slide,
-    )
+    # reliable way to keep the axis component out of the solution. The
+    # sum starts at 0 so that a -0.0 component comes out as +0.0.
+    point = 0.0
+    for i in range(2):
+        point = point + (_dots(u[:, :, i], -perp) / sv[:, i])[:, None] * vt[:, i]
+
+    general = zip(theta.tolist(), axis.tolist(), point.tolist(), slide.tolist())
+    screws = []
+    for H, turns in zip(homs, turning.tolist()):
+        if not turns:
+            # exact: a norm would square a tiny slide to 0
+            screws.append(
+                Screw.pure_translation(H.d) if any(H.d.as_tuple()) else Screw.identity()
+            )
+            continue
+        th, a, p, sl = next(general)
+        a = Vec3(*a)
+        n = a.norm()
+        screws.append(
+            Screw.general(Vec3(*p), UnitVec3(a.x / n, a.y / n, a.z / n), th, sl)
+        )
+    return screws
+
+
+def screw_from_hom_bruteforce(H: HomTransform) -> Screw:
+    """Screw parameters of one affine rigid map: screws_from_homs([H])[0]."""
+    return screws_from_homs([H])[0]
 
 
 def gibbs_by_midpoint_elimination(

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from screwalgebra import (
     Displacement,
     GibbsVector,
+    HomTransform,
+    RotationMatrix,
     Screw,
     ScrewKind,
     TraceSingular,
@@ -23,8 +26,12 @@ from screwalgebra import (
     make_unit,
     screw_from_displacement,
     screw_from_hom_bruteforce,
+    screws_from_homs,
 )
+from screwalgebra.oracle import stacked_matmul
 from _util import mnp, xyz
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestHomTransforms:
@@ -158,3 +165,141 @@ class TestScrewFromHomBruteforce:
             assert (closed.axis.dir - brute.axis.dir).norm() < 1e-8
             assert abs(closed.theta - brute.theta) < 1e-8
             assert abs(closed.slide - brute.slide) < 1e-8
+
+
+# Half turns with a symmetric matrix: the skew part is exactly 0, so the
+# angle is exactly pi and the axis sign comes from the tie-break alone.
+HALF_TURN_FLIPPED = HomTransform(
+    RotationMatrix(((-1.0, 0.0, 0.0), (0.0, -0.28, 0.96), (0.0, 0.96, 0.28))),
+    Vec3(1.0, 2.0, 3.0),
+)
+HALF_TURN_KEPT = HomTransform(
+    RotationMatrix(((-1.0, 0.0, 0.0), (0.0, -0.28, -0.96), (0.0, -0.96, 0.28))),
+    Vec3(1.0, 2.0, 3.0),
+)
+SPECIAL_HOMS = {
+    "identity": hom_from_translation(Vec3(0.0, 0.0, 0.0)),
+    "translation": hom_from_translation(Vec3(3.0, 4.0, 0.0)),
+    "tiny-translation": hom_from_translation(Vec3(1e-170, 0.0, 0.0)),
+    "theta-1e-6": hom_from_rotation(
+        Vec3(1.0, -2.0, 0.5), make_unit(Vec3(1.0, 2.0, 2.0)), 1e-6
+    ),
+    "theta-pi-minus-1e-6": hom_from_rotation(
+        Vec3(0.5, 1.0, -1.5), make_unit(Vec3(-2.0, 1.0, 2.0)), math.pi - 1e-6
+    ),
+    "half-turn-flipped": HALF_TURN_FLIPPED,
+    "half-turn-kept": HALF_TURN_KEPT,
+    # Its axis point sums to -0.0 unless the sum starts at +0.0.
+    "screw-through-origin": hom_compose(
+        hom_from_rotation(Vec3(0.0, 0.0, 0.0), make_unit(Vec3(0.0, 0.0, 1.0)), 1.0),
+        hom_from_translation(Vec3(0.0, 0.0, 2.0)),
+    ),
+}
+
+# screw_from_hom_bruteforce's outputs before the oracle was stacked:
+# (axis point, axis direction, theta, slide).
+PINNED_SCREWS = {
+    "theta-1e-6": (
+        (1.2222222222726487, -1.5555555555525733, 0.9444444443545695),
+        (0.3333333333333335, 0.6666666666502189, 0.6666666666831145),
+        1e-06,
+        3.0154040143333186e-17,
+    ),
+    "theta-pi-minus-1e-6": (
+        (-0.16666666666666685, 1.3333333333333333, -0.8333333333333336),
+        (-0.6666666666666669, 0.3333333333333333, 0.6666666666666666),
+        3.141591653589793,
+        1.7270123602795991e-16,
+    ),
+    "half-turn-flipped": (
+        (0.5, -0.07999999999999989, 0.0599999999999999),
+        (0.0, 0.6, 0.8000000000000002),
+        math.pi,
+        3.6000000000000005,
+    ),
+    "half-turn-kept": (
+        (0.5, 1.3600000000000003, 1.02),
+        (0.0, 0.6, -0.8000000000000002),
+        math.pi,
+        -1.2000000000000006,
+    ),
+}
+
+
+def _seeded_homs(seed: int, count: int) -> list[HomTransform]:
+    rng = random.Random(seed)
+    homs = []
+    for _ in range(count):
+        h = hom_from_rotation(
+            Vec3(*(rng.uniform(-3, 3) for _ in range(3))),
+            make_unit(Vec3(*(rng.gauss(0, 1) for _ in range(3)))),
+            rng.uniform(-math.pi, math.pi),
+        )
+        homs.append(hom_compose(h, hom_from_translation(Vec3(*(rng.uniform(-2, 2) for _ in range(3))))))
+    return homs
+
+
+def _stack() -> list[HomTransform]:
+    """The special maps spread among 200 seeded screw motions."""
+    homs = _seeded_homs(83, 200)
+    for i, h in enumerate(SPECIAL_HOMS.values()):
+        homs.insert(5 * i, h)
+    return homs
+
+
+def _screw_line(s: Screw) -> str:
+    """Every field of a screw at full precision, signed zeros included."""
+    if s.kind is not ScrewKind.GENERAL:
+        return f"{s.kind.name} {s.translation!r}"
+    fields = (*s.axis.point.as_tuple(), *s.axis.dir.as_tuple(), s.theta, s.slide)
+    return " ".join(map(repr, fields))
+
+
+class TestScrewsFromHoms:
+    def test_stack_matches_one_map_at_a_time(self):
+        homs = _stack()
+        stacked = screws_from_homs(homs)
+        assert len(stacked) == len(homs)
+        for h, s in zip(homs, stacked):
+            assert s == screw_from_hom_bruteforce(h)
+
+    def test_stack_keeps_the_one_map_bits(self):
+        # Recorded from screw_from_hom_bruteforce when it took one map at a
+        # time, with numpy's single-vector norm, dot product and matmul.
+        lines = [_screw_line(s) for s in screws_from_homs(_stack())]
+        assert lines == (DATA / "oracle_screws.txt").read_text().splitlines()
+
+    def test_special_maps(self):
+        identity, translation, tiny = screws_from_homs(
+            [SPECIAL_HOMS[name] for name in ("identity", "translation", "tiny-translation")]
+        )
+        assert identity == Screw.identity()
+        assert translation == Screw.pure_translation(Vec3(3.0, 4.0, 0.0))
+        # An exact test of the slide: its squared length underflows.
+        assert tiny == Screw.pure_translation(Vec3(1e-170, 0.0, 0.0))
+        assert screws_from_homs([]) == []
+
+    def test_flipped_half_turn_exercises_the_tie_break(self):
+        import numpy as np
+
+        R = np.array(HALF_TURN_FLIPPED.R.rows)
+        raw_axis = np.linalg.svd(R - np.eye(3))[2][-1]
+        first = next(c for c in raw_axis if abs(c) > 1e-12)
+        assert first < 0.0  # so the tie-break has to turn it round
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SCREWS))
+    def test_pinned_screws(self, name):
+        point, direction, theta, slide = PINNED_SCREWS[name]
+        [s] = screws_from_homs([SPECIAL_HOMS[name]])
+        assert s.kind is ScrewKind.GENERAL
+        assert s.axis.point.as_tuple() == point
+        assert s.axis.dir.as_tuple() == direction
+        assert (s.theta, s.slide) == (theta, slide)
+
+
+def test_stacked_matmul_keeps_matmul_bits():
+    homs = _seeded_homs(89, 100)
+    pairs = [(a.R, b.R) for a, b in zip(homs[::2], homs[1::2])]
+    products = stacked_matmul(pairs)
+    assert [tuple(map(tuple, rows)) for rows in products] == [a.matmul(b).rows for a, b in pairs]
+    assert stacked_matmul([]) == []
