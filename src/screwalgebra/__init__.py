@@ -111,7 +111,6 @@ _LAZY = {
     **dict.fromkeys(
         (
             "HomTransform",
-            "displacement_from_hom",
             "gibbs_by_midpoint_elimination",
             "hom_compose",
             "hom_from_displacement",
@@ -193,7 +192,6 @@ __all__ = [
     "conjugate_pair_decompose",
     "couple_translation",
     "displaced_line_angle",
-    "displacement_from_hom",
     "displacement_from_screw",
     "displacement_of_rotation",
     "distance_between_lines",

@@ -225,7 +225,7 @@ def check_matrix_orthonormal(rng, n, k):
         worst = 0.0
         for a in range(3):
             for b in range(3):
-                dot = sum(r[i2][a] * r[i2][b] for i2 in range(3))
+                dot = 0.0 + r[0][a] * r[0][b] + r[1][a] * r[1][b] + r[2][a] * r[2][b]
                 worst = max(worst, abs(dot - (1.0 if a == b else 0.0)))
         worst = max(worst, abs(M.det() - 1.0))
         yield worst, 1e-12 * k, lambda: f"q=({q.m},{q.n},{q.p}) orthonormality defect {worst:.3e}"

@@ -77,22 +77,37 @@ class ThreeAxisResult(NamedTuple):
     sin2_z: float
 
 
+def _product(w1, ax, ay, az, w2, bx, by, bz):
+    """Rodrigues' product of the parameters (w1, a) and (w2, b), "a then b":
+    (w1 w2 - a.b, w2 a + w1 b + b x a), as four floats."""
+    return (
+        w1 * w2 - (ax * bx + ay * by + az * bz),
+        (w2 * ax + w1 * bx) + (by * az - bz * ay),
+        (w2 * ay + w1 * by) + (bz * ax - bx * az),
+        (w2 * az + w1 * bz) + (bx * ay - by * ax),
+    )
+
+
 def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
     """Rotation vector of "rotate by q1, then by q2" (axes through one point).
 
-    Rational in both arguments: (q1 + q2 + (1/2) q2 x q1) / (1 - q1.q2/4).
-    Raises ResultantHalfTurn when the denominator vanishes within 1e-12
-    (the resultant is a half turn and has no finite rotation vector).
+    The ratio 2 v / w of the four-parameter product of (2, q1) and (2, q2),
+    which is (q1 + q2 + (1/2) q2 x q1) / (1 - q1.q2/4). Raises
+    ResultantHalfTurn when that denominator, w/4, vanishes within 1e-12 (the
+    resultant is a half turn and has no finite rotation vector), and
+    ValueError when the rotation vector overflows.
     """
-    a = q1.as_vec3()
-    b = q2.as_vec3()
-    den = 1.0 - a.dot(b) / 4.0
-    if abs(den) < AT_PI_CUT:
+    factors = (2.0, q1.m, q1.n, q1.p, 2.0, q2.m, q2.n, q2.p)
+    w, x, y, z = _product(*factors)
+    if abs(w) < 4.0 * AT_PI_CUT:
         raise ResultantHalfTurn(
-            f"resultant is a half turn (denominator {den}); it has no rotation vector"
+            f"resultant is a half turn (denominator {w / 4.0}); it has no rotation vector"
         )
-    s = (a + b + b.cross(a) * 0.5) / den
-    return GibbsVector(s.x, s.y, s.z)
+    if not abs(w) + abs(x) + abs(y) + abs(z) < math.inf:
+        # The product overflowed; both factors times 2^-512 keep its ratio.
+        w, x, y, z = _product(*(c * 2.0**-512 for c in factors))
+    half = w * 0.5
+    return GibbsVector(x / half, y / half, z / half)
 
 
 def _resultant_screw(dir1: Vec3, theta1: float, dir2: Vec3, theta2: float) -> "Screw":
@@ -162,21 +177,14 @@ def compose_displacements(D1: Displacement, D2: Displacement) -> Displacement:
     """Displacement "do D1, then D2".
 
     The rotation parameters fold by the four-parameter product of Rodrigues'
-    memoir, (w2 w1 - v2.v1, w2 v1 + w1 v2 + v2 x v1); at w1 = w2 = 1 its
-    ratio is compose_gibbs's. The product is in half-turn form when its w is
+    memoir, (w2 w1 - v2.v1, w2 v1 + w1 v2 + v2 x v1), the one compose_gibbs
+    reads its ratio from. The product is in half-turn form when its w is
     below 1e-12 in size, where compose_gibbs raises. The new origin
     displacement is the image of D1.delta under D2.
     """
-    w1, a = D1.w, D1.v
-    w2, b = D2.w, D2.v
-    ax, ay, az, bx, by, bz = a.x, a.y, a.z, b.x, b.y, b.z
-    w = w1 * w2 - (ax * bx + ay * by + az * bz)
-    v = Vec3(
-        (w2 * ax + w1 * bx) + (by * az - bz * ay),
-        (w2 * ay + w1 * by) + (bz * ax - bx * az),
-        (w2 * az + w1 * bz) + (bx * ay - by * ax),
-    )
-    return Displacement(w=w, v=v, delta=apply_displacement(D2, D1.delta))
+    a, b = D1.v, D2.v
+    w, x, y, z = _product(D1.w, a.x, a.y, a.z, D2.w, b.x, b.y, b.z)
+    return Displacement(w=w, v=Vec3(x, y, z), delta=apply_displacement(D2, D1.delta))
 
 
 def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec3]:

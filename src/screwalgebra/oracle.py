@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import UnitVec3, Vec3
-from .errors import TraceSingular
 from .pointfit import Correspondence
 from .rotation import Displacement, GibbsVector, RotationMatrix
 from .screw import Screw
 
-_TRACE_TOL = 1e-9
 _ZERO_ANGLE_TOL = 1e-12
 
 
@@ -79,33 +77,6 @@ def hom_from_displacement(D: Displacement) -> HomTransform:
     # atan2(y, 1.0) and atan(y) can differ in the last bit; w = 1 keeps atan's.
     theta = 2.0 * (math.atan(vn) if w == 1.0 else math.atan2(vn, w))
     return HomTransform(_trig_matrix(v / vn, theta), D.delta)
-
-
-def displacement_from_hom(H: HomTransform) -> Displacement:
-    """Recover (rotation vector, origin displacement) from the affine form.
-
-    The angle comes from the trace and the skew part; the rotation vector
-    is 2 tan(theta/2) times the unit axis. Raises TraceSingular when
-    1 + trace <= 1e-9 (half turn: no rotation vector exists).
-    """
-    tr = H.R.trace()
-    if 1.0 + tr <= _TRACE_TOL:
-        raise TraceSingular(f"1 + trace = {1.0 + tr}; no rotation vector exists")
-    r = H.R.rows
-    skew = Vec3(
-        (r[2][1] - r[1][2]) / 2.0,
-        (r[0][2] - r[2][0]) / 2.0,
-        (r[1][0] - r[0][1]) / 2.0,
-    )
-    sin_t = skew.norm()
-    theta = math.atan2(sin_t, (tr - 1.0) / 2.0)
-    if theta <= _ZERO_ANGLE_TOL:
-        return Displacement(GibbsVector(0.0, 0.0, 0.0), H.d)
-    axis = skew / sin_t
-    t = 2.0 * math.tan(theta / 2.0)
-    return Displacement(
-        GibbsVector(axis.x * t, axis.y * t, axis.z * t), H.d
-    )
 
 
 def hom_compose(H1: HomTransform, H2: HomTransform) -> HomTransform:
@@ -172,17 +143,9 @@ def screws_from_homs(homs: Sequence[HomTransform]) -> list[Screw]:
     u, sv, vt = np.linalg.svd(R - np.eye(3))
     axis = vt[:, -1]
     # The skew part fixes the sign down to |sin theta| ~ 1e-12, still three
-    # orders above matrix noise; beyond that the half-turn tie-break applies,
-    # matching the Screw canonical form: the first component past 1e-12
-    # is made positive.
-    significant = np.abs(axis) > 1e-12
-    first = axis[np.arange(len(axis)), significant.argmax(axis=1)]
-    flip = np.where(
-        theta < math.pi - 1e-12,
-        _dots(axis, skew) < 0.0,
-        significant.any(axis=1) & (first < 0.0),
-    )
-    axis = np.where(flip[:, None], -axis, axis)
+    # orders above matrix noise; at a half turn, where it is noise, Screw.general
+    # picks the direction.
+    axis = np.where((_dots(axis, skew) < 0.0)[:, None], -axis, axis)
     slide = _dots(d, axis)
     perp = d - slide[:, None] * axis
     # Minimum-norm solution of (R - I) p = -perp from the two genuine

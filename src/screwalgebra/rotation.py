@@ -34,7 +34,8 @@ class GibbsVector:
         return Vec3(self.m, self.n, self.p)
 
     def norm(self) -> float:
-        return math.sqrt(self.m * self.m + self.n * self.n + self.p * self.p)
+        """|q|, taken by Vec3.norm."""
+        return self.as_vec3().norm()
 
     @staticmethod
     def from_vec3(v: Vec3) -> "GibbsVector":
@@ -62,9 +63,10 @@ class RotationMatrix:
             abs(a[0] * c[0] + a[1] * c[1] + a[2] * c[2]),
             abs(b[0] * c[0] + b[1] * c[1] + b[2] * c[2]),
         )
-        if max(dots) > RESIDUAL_TOL:
+        # Written so that a NaN entry fails: every entry reaches the determinant.
+        if not max(dots) <= RESIDUAL_TOL:
             raise ValueError("matrix rows are not orthonormal")
-        if abs(self.det() - 1.0) > RESIDUAL_TOL:
+        if not abs(self.det() - 1.0) <= RESIDUAL_TOL:
             raise ValueError("matrix determinant is not +1")
 
     def apply(self, r: Vec3) -> Vec3:
@@ -76,17 +78,30 @@ class RotationMatrix:
         )
 
     def matmul(self, other: "RotationMatrix") -> "RotationMatrix":
-        out = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                row.append(sum(self.rows[i][k] * other.rows[k][j] for k in range(3)))
-            out.append(tuple(row))
-        return RotationMatrix(tuple(out))
+        # Each entry is summed from 0 left to right, so a -0.0 sum is +0.0.
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.rows
+        (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = other.rows
+        return RotationMatrix((
+            (
+                0.0 + a0 * p0 + a1 * q0 + a2 * r0,
+                0.0 + a0 * p1 + a1 * q1 + a2 * r1,
+                0.0 + a0 * p2 + a1 * q2 + a2 * r2,
+            ),
+            (
+                0.0 + b0 * p0 + b1 * q0 + b2 * r0,
+                0.0 + b0 * p1 + b1 * q1 + b2 * r1,
+                0.0 + b0 * p2 + b1 * q2 + b2 * r2,
+            ),
+            (
+                0.0 + c0 * p0 + c1 * q0 + c2 * r0,
+                0.0 + c0 * p1 + c1 * q1 + c2 * r1,
+                0.0 + c0 * p2 + c1 * q2 + c2 * r2,
+            ),
+        ))
 
     def transpose(self) -> "RotationMatrix":
-        r = self.rows
-        return RotationMatrix(tuple(tuple(r[j][i] for j in range(3)) for i in range(3)))
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = self.rows
+        return RotationMatrix(((a0, b0, c0), (a1, b1, c1), (a2, b2, c2)))
 
     def trace(self) -> float:
         return self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -245,7 +260,7 @@ def apply_displacement(D: Displacement, r: Vec3) -> Vec3:
         rz + (d.z + 2.0 * (w * (vx * ry - vy * rx) + (vz * s - rz * v2)) / den),
     )
     if not abs(x) + abs(y) + abs(z) < math.inf:  # r |v|^2 or v (v.r) overflowed
-        n = math.sqrt(v2)
+        n = v.norm()
         return d + rodrigues_rotate(UnitVec3(vx / n, vy / n, vz / n), 2.0 * math.atan2(n, w), r)
     return Vec3(x, y, z)
 

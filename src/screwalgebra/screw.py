@@ -138,7 +138,7 @@ def screw_from_displacement(D: Displacement) -> Screw:
     w, v, d = D.w, D.v, D.delta
     vx, vy, vz = v.x, v.y, v.z
     v2 = vx * vx + vy * vy + vz * vz
-    vn = math.sqrt(v2)
+    vn = v.norm()
     # 2 |v| is |q| at w = 1; in half-turn form |v| is about 1.
     if vn + vn <= ZERO_CUT:
         if d.norm() == 0.0:

@@ -27,6 +27,7 @@ from screwalgebra import (
     screw_from_displacement,
 )
 from screwalgebra.core import AT_PI_CUT, ZERO_CUT, ZERO
+from screwalgebra.oracle import hom_compose, hom_from_displacement
 from _util import mnp, xyz
 
 
@@ -161,6 +162,25 @@ def test_huge_slide_gives_a_bounded_half_turn_axis():
     assert s.theta == math.pi
     assert s.axis.point.y == 0.75e308 and s.axis.point.z == -0.75e308
     assert abs(s.axis.point.x) < 1e292
+
+
+def test_rotation_vector_too_long_to_square_has_a_length():
+    # |v|^2 overflows: the turn is a half turn up to 4e-155 rad, about x.
+    q = GibbsVector(1e155, 0.0, 0.0)
+    assert q.norm() == 1e155
+    D = Displacement(q, Vec3(0.5, -1.0, 2.0))
+    lift = Displacement(delta=Vec3(0.0, 3.0, -1.0))
+    points = [ZERO, Vec3(1.0, 2.0, 3.0), Vec3(-4.0, 0.5, 2.0)]
+
+    def assert_same_map(got: Displacement, H) -> None:
+        for r in points:
+            assert xyz(apply_displacement(got, r)) == pytest.approx(xyz(H.apply(r)), abs=1e-9)
+
+    H = hom_from_displacement(D)
+    assert_same_map(D, H)
+    assert_same_map(displacement_from_screw(screw_from_displacement(D)), H)
+    assert_same_map(compose_displacements(lift, D), hom_compose(hom_from_displacement(lift), H))
+    assert_same_map(compose_displacements(D, lift), hom_compose(H, hom_from_displacement(lift)))
 
 
 def test_replace_keeps_the_parameters():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,42 @@ from screwalgebra import (
 from _util import ROOT3, mnp, xyz
 
 HALF_PI = math.pi / 2
+GIBBS_BITS = Path(__file__).parent / "data" / "compose_gibbs_bits.txt"
+
+
+def _pinned_gibbs_pairs() -> list[tuple[GibbsVector, GibbsVector]]:
+    """2000 seeded pairs with |q| from about 1e-6 to 1e6, then 200 pairs with
+    q1.q2/4 within 5e-13 of 1, whose product is a half turn.
+
+    Built from uniform draws, ldexp and correctly rounded arithmetic only, so
+    the pairs are the same on every Python.
+    """
+    rng = random.Random(2000)
+
+    def draw() -> list[float]:
+        scale = math.ldexp(1.0, rng.randint(-20, 20))
+        return [rng.uniform(-1.0, 1.0) * scale for _ in range(3)]
+
+    pairs = [(draw(), draw()) for _ in range(2000)]
+    for _ in range(200):
+        a, c = draw(), draw()
+        aa = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+        # q2 = (4 + e) q1 / |q1|^2 plus a part across q1: q1.q2 / 4 = 1 + e / 4.
+        along = (4.0 + rng.uniform(-2e-12, 2e-12)) / aa
+        across = [a[1] * c[2] - a[2] * c[1], a[2] * c[0] - a[0] * c[2], a[0] * c[1] - a[1] * c[0]]
+        size = math.sqrt(across[0] * across[0] + across[1] * across[1] + across[2] * across[2])
+        k = rng.uniform(0.0, 10.0) / (size * math.sqrt(aa))
+        pairs.append((a, [along * ai + k * xi for ai, xi in zip(a, across)]))
+    return [(GibbsVector(*a), GibbsVector(*b)) for a, b in pairs]
+
+
+def _compose_gibbs_line(q1: GibbsVector, q2: GibbsVector) -> str:
+    """compose_gibbs's answer as float.hex, or the name of what it raised."""
+    try:
+        q = compose_gibbs(q1, q2)
+    except Exception as exc:
+        return type(exc).__name__
+    return " ".join(float.hex(c) for c in mnp(q))
 
 
 class TestComposeGibbs:
@@ -62,6 +99,19 @@ class TestComposeGibbs:
         # half-tangent form blows up.
         with pytest.raises(ResultantHalfTurn):
             compose_gibbs(GibbsVector(2, 0, 0), GibbsVector(2, 0, 0))
+
+    def test_pinned_bits(self):
+        # Recorded from the composition formula written out in rotation
+        # vectors, before compose_gibbs shared compose_displacements' kernel.
+        lines = [_compose_gibbs_line(q1, q2) for q1, q2 in _pinned_gibbs_pairs()]
+        assert lines == GIBBS_BITS.read_text().splitlines()
+        assert lines[2000:] == ["ResultantHalfTurn"] * 200
+
+    def test_overflowing_product_keeps_its_ratio(self):
+        # Turns within 2e-155 rad of a half turn about x and about (1, 1, 0):
+        # q1.q2 overflows, and the resultant is a quarter turn about z.
+        q = compose_gibbs(GibbsVector(1e155, 0.0, 0.0), GibbsVector(1e155, 1e155, 0.0))
+        assert mnp(q) == pytest.approx((0.0, 0.0, 2.0), abs=1e-15)
 
     def test_identity_is_neutral(self):
         q = GibbsVector(0.4, -1.1, 2.2)

@@ -77,6 +77,18 @@ class TestMatrixFromGibbs:
             assert dev < 1e-14
             assert m.det() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 2), (2, 0)])
+    def test_nan_entry_is_not_a_rotation(self, entry):
+        rows = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        rows[entry[0]][entry[1]] = math.nan
+        with pytest.raises(ValueError):
+            RotationMatrix(tuple(map(tuple, rows)))
+
+    def test_rotation_vector_too_long_to_square_is_refused(self):
+        # |q|^2 overflows, and the entries are inf * 0.
+        with pytest.raises(ValueError):
+            matrix_from_gibbs(GibbsVector(1e155, 0.0, 0.0))
+
     def test_zero_vector_gives_identity(self):
         m = matrix_from_gibbs(GibbsVector(0.0, 0.0, 0.0))
         assert m.rows == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

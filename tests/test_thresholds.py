@@ -1,4 +1,5 @@
-"""The threshold table in core and the one half-turn tie-break."""
+"""The threshold table in core, the one half-turn tie-break, and the arithmetic
+rules that keep results bit-identical: one length rule, no builtin sum()."""
 
 from __future__ import annotations
 
@@ -83,6 +84,18 @@ def test_only_vec3_norm_reads_the_underflow_cut():
             expected = _underflow_cut_reads(norm)
             assert expected
         assert _underflow_cut_reads(tree) == expected, path.stem
+
+
+def test_no_builtin_sum_in_the_package():
+    # Since Python 3.12 sum() of floats is compensated: its bits depend on the
+    # interpreter. Sums are written out left to right; math.fsum is exact.
+    for path in PACKAGE.glob("*.py"):
+        calls = [
+            n.lineno
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "sum"
+        ]
+        assert calls == [], path.stem
 
 
 # (axis direction, whether the half turn keeps it) for the shared rule: the first
