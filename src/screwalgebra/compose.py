@@ -97,15 +97,27 @@ def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
     resultant is a half turn and has no finite rotation vector), and
     ValueError when the rotation vector overflows.
     """
-    factors = (2.0, q1.m, q1.n, q1.p, 2.0, q2.m, q2.n, q2.p)
-    w, x, y, z = _product(*factors)
-    if abs(w) < 4.0 * AT_PI_CUT:
-        raise ResultantHalfTurn(
-            f"resultant is a half turn (denominator {w / 4.0}); it has no rotation vector"
-        )
+    w, x, y, z = _product(2.0, q1.m, q1.n, q1.p, 2.0, q2.m, q2.n, q2.p)
+    k = 0
     if not abs(w) + abs(x) + abs(y) + abs(z) < math.inf:
-        # The product overflowed; both factors times 2^-512 keep its ratio.
-        w, x, y, z = _product(*(c * 2.0**-512 for c in factors))
+        # The product overflowed, or nearly. Scaling each factor by its own
+        # power of two keeps its ratio. Halving the larger factor gives the
+        # terms of (2 - q1.q2/2, q1 + q2 + q2 x q1/2) exactly. Where those
+        # overflow too, the larger factor is scaled first, and only so far
+        # that the exponents of the two factors sum to at most 1021: then no
+        # term can overflow, and neither factor is scaled further than needed.
+        f1, f2 = (2.0, q1.m, q1.n, q1.p), (2.0, q2.m, q2.n, q2.p)
+        e1, e2 = (math.frexp(max(map(abs, f)))[1] for f in (f1, f2))
+        halve = (1, 0) if e1 >= e2 else (0, 1)
+        for k1, k2 in (halve, (max(0, e1 - max(1021 - e2, 510)), max(0, e2 - max(1021 - e1, 510)))):
+            k = k1 + k2
+            w, x, y, z = _product(*(math.ldexp(c, -k1) for c in f1), *(math.ldexp(c, -k2) for c in f2))
+            if max(abs(w), abs(x), abs(y), abs(z)) < math.inf:
+                break
+    if abs(w) < math.ldexp(4.0 * AT_PI_CUT, -k):
+        raise ResultantHalfTurn(
+            f"resultant is a half turn (denominator {math.ldexp(w, k - 2)}); it has no rotation vector"
+        )
     half = w * 0.5
     return GibbsVector(x / half, y / half, z / half)
 

@@ -113,6 +113,38 @@ class TestComposeGibbs:
         q = compose_gibbs(GibbsVector(1e155, 0.0, 0.0), GibbsVector(1e155, 1e155, 0.0))
         assert mnp(q) == pytest.approx((0.0, 0.0, 2.0), abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "q2, expected",
+        [
+            # (q1 + q2) / (1 - q1.q2 / 4) with q1.q2 = 1e8.
+            ((1e-300, 0.0, 0.0), (1e308 / (1.0 - 2.5e7), 0.0, 0.0)),
+            # q1.q2 = 0, so the y component is q2's own, 1e-300.
+            ((0.0, 1e-300, 0.0), (1e308, 1e-300, -5e7)),
+            # The same near the bottom of the normal range.
+            ((0.0, 1.7e-307, 0.0), (1e308, 1.7e-307, -8.5)),
+            ((0.0, 5e-324, 0.0), (1e308, 5e-324, -(5e-324 * 1e308) / 2.0)),
+            ((1e-308, 0.0, 3e-154), (1e308 / 0.75, 1.5e154 / 0.75, 3e-154 / 0.75)),
+        ],
+    )
+    def test_overflowing_product_keeps_a_tiny_factor(self, q2, expected):
+        # 2 q1 overflows; scaling the product down must not flush q2's bits.
+        q = compose_gibbs(GibbsVector(1e308, 0.0, 0.0), GibbsVector(*q2))
+        assert mnp(q) == expected
+
+    def test_overflowing_product_keeps_the_half_turn_cut(self):
+        # q1.q2 = 4 - 6e-12: the denominator is 1.5e-12, past the cut, and
+        # the rotation vector is too long to represent.
+        q2 = GibbsVector((4.0 - 6e-12) / 1e308, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            compose_gibbs(GibbsVector(1e308, 0.0, 0.0), q2)
+
+    def test_half_turn_past_an_overflowing_dot(self):
+        # q1.q2 = 2^1100 - 2^1100 + 4 = 4 exactly: a half turn, although the
+        # unscaled dot product overflows on the way.
+        big = 2.0**550
+        with pytest.raises(ResultantHalfTurn):
+            compose_gibbs(GibbsVector(big, big, 2.0), GibbsVector(big, -big, 2.0))
+
     def test_identity_is_neutral(self):
         q = GibbsVector(0.4, -1.1, 2.2)
         zero = GibbsVector(0, 0, 0)
