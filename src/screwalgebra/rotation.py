@@ -133,8 +133,9 @@ class Displacement:
         Displacement(w=w, v=v, delta=delta) from rotation parameters
         proportional to (w, v): they are scaled to w = 1 when |w| >= 1e-12,
         and to half-turn form otherwise (DegenerateInput if w^2 + |v|^2 is
-        0 or overflows). That cut is on w as given, so w^2 + |v|^2 must be
-        at least 1, as for the product of two displacements' parameters.
+        0 or overflows; ValueError if w is not finite). That cut is on w as
+        given, so w^2 + |v|^2 must be at least 1, as for the product of two
+        displacements' parameters.
         """
         if q is not None:
             v = Vec3(q.m * 0.5, q.n * 0.5, q.p * 0.5)
@@ -144,6 +145,8 @@ class Displacement:
                 raise DegenerateInput(f"rotation parameters ({w}, {v.as_tuple()}) have no scale")
             w, v = w / n, v / n
         elif w != 1.0:
+            if not abs(w) < math.inf:
+                raise ValueError(f"non-finite rotation parameter w = {w}")
             w, v = 1.0, Vec3(v.x / w, v.y / w, v.z / w)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "v", v)

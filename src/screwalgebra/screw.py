@@ -173,15 +173,16 @@ def displacement_from_screw(S: Screw) -> Displacement:
 def absolute_translation(D: Displacement) -> AbsoluteTranslation:
     """Projection of every point's displacement on the axis direction.
 
-    The projection is the same for all points: the screw's slide. For a
-    pure translation there is no axis and the full length |delta| is
-    returned with translation_only set, as it is for a rotation vector of
-    length at most 1e-12.
+    The projection is the same for all points: the slide of
+    screw_from_displacement, half-turn direction rule included. For a pure
+    translation there is no axis and the full length |delta| is returned
+    with translation_only set, as it is for a rotation vector of length at
+    most 1e-12.
     """
-    vn = D.v.norm()
-    if vn + vn <= ZERO_CUT:
+    S = screw_from_displacement(D)
+    if S.axis is None:
         return AbsoluteTranslation(D.delta.norm(), True)
-    return AbsoluteTranslation(D.delta.dot(D.v / vn), False)
+    return AbsoluteTranslation(S.slide, False)
 
 
 def conjugate_pair_decompose(S: Screw, thetaB: float, psi: float) -> ConjugatePair:
@@ -319,8 +320,9 @@ def levy_central_axis(
     Each tracked point yields a plane: through the chord's midpoint,
     containing the axis direction, normal to the chord. Both planes contain
     the central axis, so their intersection is the axis. When the two
-    planes coincide the axis is completed inside that plane from the
-    rotation the two points determine there; the returned line's point is
+    planes coincide, the two points determine the turn about dir inside
+    that plane, and screw_from_displacement reads the axis of the
+    displacement that turns A into A' by it. The returned line's point is
     the foot of the perpendicular from the origin.
 
     Raises ParallelPlanes for every configuration without a unique
@@ -330,10 +332,12 @@ def levy_central_axis(
     A, Ap = corrA.before, corrA.after
     B, Bp = corrB.before, corrB.after
     scale = max(A.norm(), B.norm(), Ap.norm(), Bp.norm(), SCALE_FLOOR)
-    chord_a = Ap - A
-    chord_b = Bp - B
-    n_a = chord_a - dir * chord_a.dot(dir)
-    n_b = chord_b - dir * chord_b.dot(dir)
+
+    def perp(p: Vec3) -> Vec3:
+        return p - dir * p.dot(dir)
+
+    n_a = perp(Ap - A)
+    n_b = perp(Bp - B)
     if (
         n_a.norm() <= DEGENERATE_CUT * scale
         or n_b.norm() <= DEGENERATE_CUT * scale
@@ -354,36 +358,21 @@ def levy_central_axis(
         raise ParallelPlanes("the two construction planes are parallel and distinct")
 
     # Coincident planes: both chords turn inside one plane through the axis.
-    # Recover the in-plane rotation from the relative chord and solve for
-    # its fixed point.
-    seed = Vec3(1.0, 0.0, 0.0)
-    if abs(dir.dot(seed)) > 0.9:
-        seed = Vec3(0.0, 1.0, 0.0)
-    u = make_unit(seed - dir * dir.dot(seed))
-    v = dir.cross(u)
-
-    def flat(p: Vec3) -> tuple[float, float]:
-        return (p.dot(u), p.dot(v))
-
-    ax, ay = flat(A)
-    bx, by = flat(B)
-    apx, apy = flat(Ap)
-    bpx, bpy = flat(Bp)
-    rx, ry = bx - ax, by - ay
-    rpx, rpy = bpx - apx, bpy - apy
-    if math.hypot(rx, ry) <= DEGENERATE_CUT * scale:
+    # The relative position turns by theta about dir; the displacement
+    # turning A into A' by that angle has the central axis as its own.
+    rel, rel_p = perp(B - A), perp(Bp - Ap)
+    if rel.norm() <= DEGENERATE_CUT * scale:
         raise ParallelPlanes("the two tracked points project to one point")
-    theta = math.atan2(rx * rpy - ry * rpx, rx * rpx + ry * rpy)
-    if abs(theta) <= ZERO_CUT:
+    theta = math.atan2(rel.cross(rel_p).dot(dir), rel.dot(rel_p))
+    axis = None
+    if abs(theta) > ZERO_CUT:
+        h = theta / 2.0
+        turn = Displacement(w=math.cos(h), v=dir * math.sin(h), delta=Ap - rodrigues_rotate(dir, theta, A))
+        # Within a few ulps of the cut the reader may still see no turn.
+        axis = screw_from_displacement(turn).axis
+    if axis is None:
         raise ParallelPlanes("no in-plane turning; axis not determined")
-    c, s = math.cos(theta), math.sin(theta)
-    # (I - R(theta)) center = after - R(theta) before
-    gx = apx - (c * ax - s * ay)
-    gy = apy - (s * ax + c * ay)
-    det = 2.0 * (1.0 - c)
-    cx = ((1.0 - c) * gx - s * gy) / det
-    cy = (s * gx + (1.0 - c) * gy) / det
-    return AxisLine(u * cx + v * cy, dir)
+    return AxisLine(axis.point, dir)
 
 
 def displaced_line_angle(theta: float, phi: float) -> float:

@@ -143,6 +143,24 @@ def test_parameters_without_a_scale_are_rejected(w, v):
         Displacement(w=w, v=v)
 
 
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_non_finite_w_is_out_of_range(w):
+    with pytest.raises(ValueError, match="non-finite"):
+        Displacement(w=w, v=Vec3(1.0, 0.0, 0.0))
+
+
+def test_product_whose_w_overflows_is_out_of_range():
+    # v1.v2 = 4e307 overflows w to -inf while the vector part stays finite;
+    # scaling v by 1/w would leave the identity. compose_gibbs scales its
+    # factors and still answers: an 11.4 degree turn.
+    D1 = Displacement(GibbsVector(4e154, 0.0, 0.0))
+    D2 = Displacement(GibbsVector(4e154, 4e153, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        compose_displacements(D1, D2)
+    q = compose_gibbs(D1.q, D2.q)
+    assert mnp(q) == pytest.approx((-2e-154, -1e-155, 0.2), rel=1e-12)
+
+
 def test_huge_point_is_moved_by_the_bounded_rotation():
     # r |v|^2 overflows for a turn of 179.9999 degrees on a point at 1e306.
     axis, theta = make_unit(Vec3(0.0, 0.6, 0.8)), math.radians(179.9999)

@@ -538,6 +538,57 @@ class TestFit:
         assert report["rigidity.proper"] == ("true" if flip == 1 else "false")
 
 
+# (subcommand and flags, input text, exit code, report lines required, keys absent)
+EXIT_BRANCHES = {
+    # A half turn about z: the fit has no rotation vector and prints no screw.
+    "fit-half-turn": (
+        ["fit"], "0,0,0,0,0,0\n1,0,0,-1,0,0\n0,1,0,0,-1,0\n",
+        3, {"error": "gibbs-overflow"}, {"q", "kind"},
+    ),
+    "fit-stretched-fourth": (
+        ["fit"], "0,0,0,0,0,0\n1,0,0,1,0,0\n0,1,0,0,1,0\n0,0,1,0,0,2\n",
+        5, {"rigidity.rigid": "false", "error": "non-rigid"}, set(),
+    ),
+    "fit-coplanar-stretched-fourth": (
+        ["fit"], "0,0,0,0,0,0\n1,0,0,1,0,0\n0,1,0,0,1,0\n1,1,0,2,2,0\n",
+        5, {"rigidity.coplanar": "true", "rigidity.rigid": "false", "error": "non-rigid"}, set(),
+    ),
+    # A couple angle of a half turn has no rotation pair.
+    "decompose-couple-half-turn": (
+        ["decompose", "--thetaB", "180"], "rot 0 0 1 0 0 0 90\ntrans 0 0 2\n",
+        4, {"degenerate": "true"}, {"lineA.dir"},
+    ),
+    "motion-non-numeric": (
+        ["compose"], "rot a 0 1 0 0 0 90\n", 2, {"error": "parse", "error.line": "1"}, {"kind"},
+    ),
+    "csv-five-numbers": (
+        ["fit"], "0,0,0,0,0\n1,0,0,1,0,0\n0,1,0,0,1,0\n",
+        2, {"error": "parse", "error.line": "1"}, {"q"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXIT_BRANCHES)
+def test_exit_code_branches(name, tmp_path, capsys):
+    argv, text, expected, lines, absent = EXIT_BRANCHES[name]
+    src = tmp_path / "input"
+    src.write_text(text)
+    code, report = run_cli(capsys, argv[0], str(src), *argv[1:])
+    assert code == expected
+    assert {key: report.get(key) for key in lines} == lines
+    assert not absent & report.keys()
+
+
+def test_decompose_family_member_reproduces_the_motion(tmp_path, capsys):
+    text = "rot 1 2 2  0.5 -1 0  70\ntrans 0.3 -0.2 1.5\n"
+    src = tmp_path / "m.txt"
+    src.write_text(text)
+    code, report = run_cli(capsys, "decompose", str(src), "--thetaB", "60", "--psi", "30")
+    assert code == 0
+    assert float(report["lineB.angle"]) == pytest.approx(-60.0, abs=1e-9)
+    assert_motion_report("decompose", code, report, build_hom(parse_motion_file(text), False))
+
+
 class TestCheck:
     def test_small_budget_passes(self, capsys):
         code, report = run_cli(capsys, "check", "--samples", "10")

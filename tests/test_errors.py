@@ -55,6 +55,24 @@ TRIGGERS = {
             Z,
         ),
     ),
+    # The planes coincide, but A and B differ only along the axis direction.
+    "one-projected-point": (
+        ParallelPlanes,
+        lambda: levy_central_axis(
+            Correspondence(Vec3(1.0, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)),
+            Correspondence(Vec3(1.0, 0.0, 5.0), Vec3(0.0, 1.0, 5.0)),
+            Z,
+        ),
+    ),
+    # The planes coincide, and B - A keeps its direction: a translation.
+    "no-in-plane-turn": (
+        ParallelPlanes,
+        lambda: levy_central_axis(
+            Correspondence(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0)),
+            Correspondence(Vec3(0.0, 1.0, 0.0), Vec3(1.0, 1.0, 0.0)),
+            Z,
+        ),
+    ),
     "cancelling-angles": (
         CoupleDegenerate,
         lambda: parallel_rotation_center(

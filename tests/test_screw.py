@@ -136,6 +136,16 @@ class TestAbsoluteTranslation:
         assert res.translation_only is True
 
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_half_turn_slide_follows_the_screw(self, sign):
+        # In half-turn form v and -v are one turn; the slide's sign follows
+        # the axis direction Screw.general picks, not the sign of v.
+        D = Displacement(w=0.0, v=Vec3(sign, 0.0, 0.0), delta=Vec3(3.0, 1.0, 0.0))
+        res = absolute_translation(D)
+        assert res.value == screw_from_displacement(D).slide == 3.0
+        assert res.translation_only is False
+
+
 class TestDisplacedLineAngle:
     def test_quarter_turn_thirty_degree_line(self):
         got = displaced_line_angle(math.pi / 2, math.pi / 6)
@@ -243,6 +253,37 @@ class TestFixedAxisConstructions:
         )
         assert xyz(line.point) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
         assert xyz(line.dir) == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+
+
+    def test_levy_axis_where_the_planes_coincide(self):
+        # A and B sit in one plane with the axis, so both construction planes
+        # are that plane: the axis is completed from the turn about dir.
+        rng = random.Random(83)
+        for _ in range(500):
+            axis = make_unit(Vec3(*(rng.gauss(0, 1) for _ in range(3))))
+            theta = rng.uniform(0.05, math.pi)
+            point = Vec3(*(rng.uniform(-3, 3) for _ in range(3)))
+            screw = Screw.general(point, axis, theta, rng.uniform(-2, 2))
+            d = displacement_from_screw(screw)
+            a = Vec3(*(rng.uniform(-3, 3) for _ in range(3)))
+            off = a - point
+            b = point + (off - axis * off.dot(axis)) * rng.uniform(-2, 2) + axis * rng.uniform(-3, 3)
+            ap, bp = apply_displacement(d, a), apply_displacement(d, b)
+            line = levy_central_axis(Correspondence(a, ap), Correspondence(b, bp), axis)
+            foot = screw.axis.point
+            assert (line.point - foot).norm() <= 1e-11 * max(1.0, foot.norm())
+            assert line.dir == axis
+
+
+    def test_levy_axis_of_a_turn_whose_cosine_rounds_to_one(self):
+        # A 1e-10 rad turn about z, then a unit step along y: the planes
+        # coincide, and the axis runs through (-cot(theta/2)/2, 1/2, 0).
+        z, theta = make_unit(Vec3(0.0, 0.0, 1.0)), 1e-10
+        a, b = Vec3(1.0, 0.0, 0.0), Vec3(3.0, 0.0, 0.0)
+        step = Vec3(0.0, 1.0, 0.0)
+        ap, bp = (rodrigues_rotate(z, theta, p) + step for p in (a, b))
+        line = levy_central_axis(Correspondence(a, ap), Correspondence(b, bp), z)
+        assert xyz(line.point) == pytest.approx((-0.5 / math.tan(theta / 2.0), 0.5, 0.0), rel=1e-6)
 
 
 class TestLevyCramerRule:
