@@ -77,15 +77,32 @@ class ThreeAxisResult(NamedTuple):
     sin2_z: float
 
 
-def _product(w1, ax, ay, az, w2, bx, by, bz):
+def _product(w1, ax, ay, az, w2, bx, by, bz, scale=True):
     """Rodrigues' product of the parameters (w1, a) and (w2, b), "a then b":
-    (w1 w2 - a.b, w2 a + w1 b + b x a), as four floats."""
-    return (
-        w1 * w2 - (ax * bx + ay * by + az * bz),
-        (w2 * ax + w1 * bx) + (by * az - bz * ay),
-        (w2 * ay + w1 * by) + (bz * ax - bx * az),
-        (w2 * az + w1 * bz) + (bx * ay - by * ax),
-    )
+    (w1 w2 - a.b, w2 a + w1 b + b x a), times 2^-k, as (w, x, y, z, k).
+
+    k is 0 unless the product overflows, or nearly, and scale is true.
+    """
+    w = w1 * w2 - (ax * bx + ay * by + az * bz)
+    x = (w2 * ax + w1 * bx) + (by * az - bz * ay)
+    y = (w2 * ay + w1 * by) + (bz * ax - bx * az)
+    z = (w2 * az + w1 * bz) + (bx * ay - by * ax)
+    if abs(w) + abs(x) + abs(y) + abs(z) < math.inf or not scale:
+        return w, x, y, z, 0
+    # Scaling each factor by its own power of two keeps its ratio. Halving
+    # the larger factor halves every term, exactly unless that factor holds
+    # a subnormal entry. Where that overflows too, the larger factor is
+    # scaled first, and only so far that the exponents of the two factors
+    # sum to at most 1021: then no term can overflow, and neither factor is
+    # scaled further than needed.
+    f1, f2 = (w1, ax, ay, az), (w2, bx, by, bz)
+    e1, e2 = (math.frexp(max(map(abs, f)))[1] for f in (f1, f2))
+    halve = (1, 0) if e1 >= e2 else (0, 1)
+    for k1, k2 in (halve, (max(0, e1 - max(1021 - e2, 510)), max(0, e2 - max(1021 - e1, 510)))):
+        w, x, y, z, _ = _product(*(math.ldexp(c, -k1) for c in f1), *(math.ldexp(c, -k2) for c in f2), False)
+        if max(abs(w), abs(x), abs(y), abs(z)) < math.inf:
+            break
+    return w, x, y, z, k1 + k2
 
 
 def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
@@ -97,23 +114,7 @@ def compose_gibbs(q1: GibbsVector, q2: GibbsVector) -> GibbsVector:
     resultant is a half turn and has no finite rotation vector), and
     ValueError when the rotation vector overflows.
     """
-    w, x, y, z = _product(2.0, q1.m, q1.n, q1.p, 2.0, q2.m, q2.n, q2.p)
-    k = 0
-    if not abs(w) + abs(x) + abs(y) + abs(z) < math.inf:
-        # The product overflowed, or nearly. Scaling each factor by its own
-        # power of two keeps its ratio. Halving the larger factor gives the
-        # terms of (2 - q1.q2/2, q1 + q2 + q2 x q1/2) exactly. Where those
-        # overflow too, the larger factor is scaled first, and only so far
-        # that the exponents of the two factors sum to at most 1021: then no
-        # term can overflow, and neither factor is scaled further than needed.
-        f1, f2 = (2.0, q1.m, q1.n, q1.p), (2.0, q2.m, q2.n, q2.p)
-        e1, e2 = (math.frexp(max(map(abs, f)))[1] for f in (f1, f2))
-        halve = (1, 0) if e1 >= e2 else (0, 1)
-        for k1, k2 in (halve, (max(0, e1 - max(1021 - e2, 510)), max(0, e2 - max(1021 - e1, 510)))):
-            k = k1 + k2
-            w, x, y, z = _product(*(math.ldexp(c, -k1) for c in f1), *(math.ldexp(c, -k2) for c in f2))
-            if max(abs(w), abs(x), abs(y), abs(z)) < math.inf:
-                break
+    w, x, y, z, k = _product(2.0, q1.m, q1.n, q1.p, 2.0, q2.m, q2.n, q2.p)
     if abs(w) < math.ldexp(4.0 * AT_PI_CUT, -k):
         raise ResultantHalfTurn(
             f"resultant is a half turn (denominator {math.ldexp(w, k - 2)}); it has no rotation vector"
@@ -190,12 +191,16 @@ def compose_displacements(D1: Displacement, D2: Displacement) -> Displacement:
 
     The rotation parameters fold by the four-parameter product of Rodrigues'
     memoir, (w2 w1 - v2.v1, w2 v1 + w1 v2 + v2 x v1), the one compose_gibbs
-    reads its ratio from. The product is in half-turn form when its w is
-    below 1e-12 in size, where compose_gibbs raises. The new origin
-    displacement is the image of D1.delta under D2.
+    reads its ratio from, with its one overflow rule: each factor is scaled
+    by its own power of two. The product is in half-turn form when its
+    unscaled w is below 1e-12 in size, where compose_gibbs raises. The new
+    origin displacement is the image of D1.delta under D2.
     """
     a, b = D1.v, D2.v
-    w, x, y, z = _product(D1.w, a.x, a.y, a.z, D2.w, b.x, b.y, b.z)
+    w, x, y, z, k = _product(D1.w, a.x, a.y, a.z, D2.w, b.x, b.y, b.z)
+    if k and abs(w) >= math.ldexp(AT_PI_CUT, -k):
+        # The unscaled w is past the half-turn cut; the scaled one may not be.
+        w, x, y, z = 1.0, x / w, y / w, z / w
     return Displacement(w=w, v=Vec3(x, y, z), delta=apply_displacement(D2, D1.delta))
 
 

@@ -132,17 +132,20 @@ class Displacement:
         """Displacement(q, delta) from the rotation vector q, or
         Displacement(w=w, v=v, delta=delta) from rotation parameters
         proportional to (w, v): they are scaled to w = 1 when |w| >= 1e-12,
-        and to half-turn form otherwise (DegenerateInput if w^2 + |v|^2 is
-        0 or overflows; ValueError if w is not finite). That cut is on w as
-        given, so w^2 + |v|^2 must be at least 1, as for the product of two
-        displacements' parameters.
+        and to half-turn form otherwise (DegenerateInput if the length of
+        (w, v) is zero, or past the largest float; ValueError if w is not
+        finite). That cut is on w as given, so the length must be at least
+        1, as for the unscaled product of two displacements' parameters.
         """
         if q is not None:
             v = Vec3(q.m * 0.5, q.n * 0.5, q.p * 0.5)
         elif abs(w) < AT_PI_CUT:
-            n = math.copysign(math.sqrt(w * w + v.dot(v)), w)
-            if not 0.0 < abs(n) < math.inf:
+            n = math.sqrt(w * w + v.dot(v))
+            if not 0.0 < n < math.inf:  # the squares overflow or underflow
+                n = math.hypot(w, v.norm())
+            if not 0.0 < n < math.inf:
                 raise DegenerateInput(f"rotation parameters ({w}, {v.as_tuple()}) have no scale")
+            n = math.copysign(n, w)
             w, v = w / n, v / n
         elif w != 1.0:
             if not abs(w) < math.inf:
