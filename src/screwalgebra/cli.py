@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .compose import compose_displacements
-from .core import ZERO_CUT, Rotation, Vec3, make_unit
+from .core import ZERO, Rotation, Vec3, _unit_components, make_unit
 from .errors import (
     CollinearPoints,
     CoplanarPoints,
@@ -34,7 +34,7 @@ from .errors import (
     ZeroVector,
 )
 from .pointfit import Correspondence, check_rigidity, fit_displacement
-from .rotation import Displacement, GIBBS_ZERO, displacement_of_rotation
+from .rotation import Displacement, _displacement, _rotation_displacement
 from .screw import (
     Screw,
     ScrewKind,
@@ -59,7 +59,7 @@ EXIT_COLLINEAR = 6
 # motion file format
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RotRecord:
     """``rot dx dy dz px py pz angle``: axis direction, axis point, angle."""
 
@@ -72,7 +72,7 @@ class RotRecord:
     angle: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransRecord:
     """``trans tx ty tz``: a pure translation."""
 
@@ -99,7 +99,7 @@ def parse_motion_file(text: str) -> list[MotionRecord]:
         fields = line.split()
         kind, args = fields[0], fields[1:]
         try:
-            values = [float(a) for a in args]
+            values = list(map(float, args))
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
         if kind == "rot":
@@ -120,10 +120,11 @@ def parse_motion_file(text: str) -> list[MotionRecord]:
         if not all(map(math.isfinite, values)):
             raise ParseError(f"non-finite number in {line!r}", line=lineno)
         if kind == "rot":
-            dx, dy, dz = values[:3]
-            # make_unit's cut on |axis|, so _record_displacement cannot raise.
-            if not ZERO_CUT < Vec3(dx, dy, dz).norm() < math.inf:
-                raise ParseError("rot axis direction is zero or overflows", line=lineno)
+            # The cut on |axis| of _record_displacement's _unit_components.
+            try:
+                _unit_components(*values[:3])
+            except (ZeroVector, ValueError):
+                raise ParseError("rot axis direction is zero or overflows", line=lineno) from None
         records.append(record)
     if not records:
         raise ParseError("no records in motion file", line=0)
@@ -153,10 +154,10 @@ def _from_radians(angle: float, radians: bool) -> float:
 
 def _record_displacement(rec: MotionRecord, radians: bool) -> Displacement:
     if isinstance(rec, TransRecord):
-        return Displacement(GIBBS_ZERO, Vec3(rec.tx, rec.ty, rec.tz))
-    axis = make_unit(Vec3(rec.dx, rec.dy, rec.dz))
-    return displacement_of_rotation(
-        Vec3(rec.px, rec.py, rec.pz), axis, _to_radians(rec.angle, radians)
+        return _displacement(1.0, ZERO, Vec3(rec.tx, rec.ty, rec.tz))
+    ax, ay, az = _unit_components(rec.dx, rec.dy, rec.dz)
+    return _rotation_displacement(
+        Vec3(rec.px, rec.py, rec.pz), ax, ay, az, _to_radians(rec.angle, radians)
     )
 
 
@@ -326,7 +327,10 @@ def cmd_decompose(args) -> int:
         _emit_rotation("lineA", pair.line_a, args.radians)
         return EXIT_DEGENERATE
 
-    inv = conjugate_invariant(pair.line_a, pair.line_b)
+    try:
+        inv = conjugate_invariant(pair.line_a, pair.line_b)
+    except ValueError as exc:  # turning a line point far out overflows
+        return _failure("range", exc, EXIT_PARSE)
     _emit_rotation("lineA", pair.line_a, args.radians)
     _emit_rotation("lineB", pair.line_b, args.radians)
     _emit("invariant.lhs", _fmt(inv.lhs))

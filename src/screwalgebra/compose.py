@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .core import AT_PI_CUT, DEGENERATE_CUT, MIN_COUPLE_ANGLE, ZERO_CUT
-from .core import EX, Rotation, UnitVec3, Vec3, distance_between_lines, make_unit
+from .core import EX, ZERO, Rotation, UnitVec3, Vec3, _unit_components, distance_between_lines
 from .errors import (
     DegenerateInput,
     DegenerateResultant,
@@ -29,6 +29,7 @@ from .errors import (
 from .rotation import (
     Displacement,
     GibbsVector,
+    _displacement,
     apply_displacement,
     displacement_of_rotation,
     rodrigues_rotate,
@@ -198,10 +199,15 @@ def compose_displacements(D1: Displacement, D2: Displacement) -> Displacement:
     """
     a, b = D1.v, D2.v
     w, x, y, z, k = _product(D1.w, a.x, a.y, a.z, D2.w, b.x, b.y, b.z)
+    # Each branch takes v and delta in the order Displacement(w=w, v=v,
+    # delta=delta) did, so the first of them to overflow is the one reported.
     if k and abs(w) >= math.ldexp(AT_PI_CUT, -k):
         # The unscaled w is past the half-turn cut; the scaled one may not be.
-        w, x, y, z = 1.0, x / w, y / w, z / w
-    return Displacement(w=w, v=Vec3(x, y, z), delta=apply_displacement(D2, D1.delta))
+        return _displacement(1.0, Vec3(x / w, y / w, z / w), apply_displacement(D2, D1.delta))
+    delta = apply_displacement(D2, D1.delta)
+    if abs(w) < AT_PI_CUT:
+        return Displacement(w=w, v=Vec3(x, y, z), delta=delta)
+    return _displacement(1.0, Vec3(x / w, y / w, z / w), delta)
 
 
 def nonintersecting_pair(line1: Rotation, line2: Rotation) -> tuple["Screw", Vec3]:
@@ -300,14 +306,23 @@ def translation_as_couple(t: Vec3, thetaB: float, psi: float) -> Couple:
         raise DegenerateInput(
             f"couple angle must lie in [{MIN_COUPLE_ANGLE}, pi); got {thetaB}"
         )
-    t_hat = make_unit(t)
-    ref = Vec3(1.0, 0.0, 0.0) - t_hat * t_hat.x
-    if ref.norm() <= DEGENERATE_CUT:
-        ref = Vec3(0.0, 1.0, 0.0) - t_hat * t_hat.y
-    e1 = make_unit(ref)
-    e2 = t_hat.cross(e1)
-    b = make_unit(e1 * math.cos(psi) + e2 * math.sin(psi))
-    m = b.cross(t_hat)
+    # The vector form on components, in its order: t^ = unit(t), e1 = unit(ref),
+    # f = t^ x e1, b = unit(e1 cos psi + f sin psi), m = b x t^, and
+    # point2 = -(t^ (-|t|/2) + m (|t|/2) / tan(thetaB/2)).
+    tx, ty, tz = _unit_components(t.x, t.y, t.z)
+    rx, ry, rz = 1.0 - tx * tx, 0.0 - ty * tx, 0.0 - tz * tx
+    if Vec3(rx, ry, rz).norm() <= DEGENERATE_CUT:
+        rx, ry, rz = 0.0 - tx * ty, 1.0 - ty * ty, 0.0 - tz * ty
+    ex, ey, ez = _unit_components(rx, ry, rz)
+    fx, fy, fz = ty * ez - tz * ey, tz * ex - tx * ez, tx * ey - ty * ex
+    c, s = math.cos(psi), math.sin(psi)
+    b = UnitVec3(*_unit_components(ex * c + fx * s, ey * c + fy * s, ez * c + fz * s))
+    mx, my, mz = b.y * tz - b.z * ty, b.z * tx - b.x * tz, b.x * ty - b.y * tx
     half = mag / 2.0
-    w = t_hat * (-half) + m * (half / math.tan(thetaB / 2.0))
-    return Couple(dir=b, point1=Vec3(0.0, 0.0, 0.0), point2=-w, theta=thetaB)
+    g = half / math.tan(thetaB / 2.0)
+    x, y, z = tx * -half + mx * g, ty * -half + my * g, tz * -half + mz * g
+    if (x - x) + (y - y) + (z - z) == 0.0:
+        point2 = Vec3(-x, -y, -z)
+    else:  # an overflow: the vector form raises at the step that overflowed
+        point2 = -(Vec3(tx, ty, tz) * (-half) + Vec3(mx, my, mz) * g)
+    return Couple(dir=b, point1=ZERO, point2=point2, theta=thetaB)

@@ -35,7 +35,8 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+        # x - x is 0 for every finite x, int and Fraction too, and NaN otherwise.
+        if not (self.x - self.x) + (self.y - self.y) + (self.z - self.z) == 0.0:
             raise ValueError(f"non-finite component in {(self.x, self.y, self.z)}")
 
     def __add__(self, other: "Vec3") -> "Vec3":

@@ -27,7 +27,7 @@ class GibbsVector:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.n) and math.isfinite(self.p)):
+        if not (self.m - self.m) + (self.n - self.n) + (self.p - self.p) == 0.0:
             raise ValueError("non-finite component in rotation vector")
 
     def as_vec3(self) -> Vec3:
@@ -175,10 +175,42 @@ class Twist:
     omega: Vec3
 
 
+# The slots' own setters, which the frozen __setattr__ does not guard.
+_set_w, _set_v, _set_delta = (Displacement.__dict__[f].__set__ for f in ("w", "v", "delta"))
+
+
+def _displacement(w: float, v: Vec3, delta: Vec3) -> Displacement:
+    """Displacement(w=w, v=v, delta=delta) for w = 1 or (w, v) in half-turn
+    form, which that constructor keeps as they are."""
+    D = object.__new__(Displacement)
+    _set_w(D, w)
+    _set_v(D, v)
+    _set_delta(D, delta)
+    return D
+
+
+def _rotate(ax, ay, az, c, s, rx, ry, rz):
+    """rodrigues_rotate on components, with cos theta = c and sin theta = s.
+
+    The operations are those of rodrigues_rotate's vector form, in its order,
+    so every finite result has its bits; an overflow comes out non-finite.
+    """
+    k = (ax * rx + ay * ry + az * rz) * (1.0 - c)
+    return (
+        (rx * c + ax * k) + (ay * rz - az * ry) * s,
+        (ry * c + ay * k) + (az * rx - ax * rz) * s,
+        (rz * c + az * k) + (ax * ry - ay * rx) * s,
+    )
+
+
 def rodrigues_rotate(axis: UnitVec3, theta: float, r: Vec3) -> Vec3:
     """Rotate r by theta about the unit axis through the origin (right-handed)."""
     c = math.cos(theta)
     s = math.sin(theta)
+    x, y, z = _rotate(axis.x, axis.y, axis.z, c, s, r.x, r.y, r.z)
+    if (x - x) + (y - y) + (z - z) == 0.0:
+        return Vec3(x, y, z)
+    # An overflow: the vector form raises at the step that overflowed.
     return r * c + axis * (axis.dot(r) * (1.0 - c)) + axis.cross(r) * s
 
 
@@ -283,9 +315,26 @@ def displacement_of_rotation(line_point: Vec3, axis: UnitVec3, theta: float) -> 
     an angle keeps its bits). Within 1e-12 of a half turn the displacement
     is in half-turn form.
     """
+    return _rotation_displacement(line_point, axis.x, axis.y, axis.z, theta)
+
+
+def _rotation_displacement(p: Vec3, ax: float, ay: float, az: float, theta: float) -> Displacement:
+    """displacement_of_rotation about the unit axis (ax, ay, az) through p.
+
+    Off a half turn the parameters are (1, (a t) / 2), t = 2 tan(theta/2):
+    gibbs_from_axis_angle's q halved, as Displacement(q, delta) stores it.
+    """
     theta = math.remainder(theta, 2.0 * math.pi)
-    delta = line_point - rodrigues_rotate(axis, theta, line_point)
+    px, py, pz = p.x, p.y, p.z
+    x, y, z = _rotate(ax, ay, az, math.cos(theta), math.sin(theta), px, py, pz)
+    x, y, z = px - x, py - y, pz - z
+    if (x - x) + (y - y) + (z - z) == 0.0:
+        delta = Vec3(x, y, z)
+    else:  # an overflow: the vector form raises at the step that overflowed
+        delta = p - rodrigues_rotate(Vec3(ax, ay, az), theta, p)
     if abs(theta) < math.pi - AT_PI_CUT:
-        return Displacement(gibbs_from_axis_angle(axis, theta), delta)
+        t = 2.0 * math.tan(theta / 2.0)
+        return _displacement(1.0, Vec3(ax * t * 0.5, ay * t * 0.5, az * t * 0.5), delta)
     half = theta / 2.0
-    return Displacement(w=math.cos(half), v=axis * math.sin(half), delta=delta)
+    s = math.sin(half)
+    return Displacement(w=math.cos(half), v=Vec3(ax * s, ay * s, az * s), delta=delta)

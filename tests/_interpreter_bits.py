@@ -4,7 +4,8 @@ Run as ``PYTHONPATH=src python tests/_interpreter_bits.py``. numpy is kept
 out, so any interpreter from 3.10 on can run it. The output is every
 (error, bound) of each registry check at ``--samples 50``, seed 0 (a check
 that needs numpy prints only its name and "numpy"), then the rows of
-RotationMatrix.matmul for 200 seeded pairs of matrices.
+RotationMatrix.matmul for 200 seeded pairs of matrices, then the forward
+path's answers on the first 50 motion files of _motion_bits.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ sys.modules["numpy"] = None  # importing numpy raises ImportError
 from screwalgebra import GibbsVector, matrix_from_gibbs  # noqa: E402
 from screwalgebra.checks import REGISTRY, _rng  # noqa: E402
 from screwalgebra.errors import ScrewAlgebraError  # noqa: E402
+from _motion_bits import SHARED, motion_lines  # noqa: E402
 
 SAMPLES, SEED = 50, 0
 
@@ -48,4 +50,4 @@ def matmul_lines() -> list[str]:
 
 
 if __name__ == "__main__":
-    print("\n".join(check_lines() + matmul_lines()))
+    print("\n".join(check_lines() + matmul_lines() + motion_lines(SHARED)))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import screwalgebra
+from _motion_bits import BITS as MOTION_BITS, SHARED
 
 BITS = Path(__file__).parent / "_interpreter_bits.py"
 SRC = Path(screwalgebra.__file__).parents[1]
@@ -56,7 +57,8 @@ def test_every_interpreter_gives_the_same_bits():
     if not others:
         pytest.skip("no other Python 3.10 or later is installed")
     expected = _bits(sys.executable)
-    # 22 checks run without numpy, and every matmul is printed.
-    assert len({line.split()[0] for line in expected[:-200] if not line.endswith(" numpy")}) == 22
+    # 22 checks run without numpy, then every matmul and motion-file line is printed.
+    assert len({line.split()[0] for line in expected[:-200 - SHARED] if not line.endswith(" numpy")}) == 22
+    assert expected[-SHARED:] == MOTION_BITS.read_text().splitlines()[:SHARED]
     for python in others:
         assert _bits(python) == expected, python
